@@ -8,9 +8,9 @@ every requested estimator failed. Every run echoes its resolved configuration
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
-import math
 import secrets
 import sys
 import warnings
@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, simlab
-from .estimators import ESTIMATORS, NoAdmissibleModelError
+from ._output import to_csv, to_json
+from .estimators import ESTIMATOR_FAILURES, ESTIMATORS
 from .freqtab import (
-    InsufficientDataError,
     from_abundances,
     parse_abundance_vector,
     parse_frequency_table,
@@ -31,8 +31,14 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_ALL_FAILED = 2
 
-ESTIMATOR_CHOICES = ("nof1", "breakaway", "chao1")
 LOW_REPS_THRESHOLD = 30
+ESTIMATE_COLUMNS = (
+    "estimator", "C_hat", "se", "f0_hat", "f1_hat", "model_p", "model_q", "warnings", "error"
+)
+CALIBRATION_COLUMNS = (
+    "C", "size", "prob", "estimator", "median_se", "mad_scaled", "relative_error_pct",
+    "failures", "reps", "seed",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,16 +54,6 @@ def _fresh_seed() -> int:
 
 def _echo_config(cfg: dict) -> None:
     print("resolved config: " + json.dumps(cfg), file=sys.stderr)
-
-
-def _sanitize(obj):
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
 
 
 def _envelope(command: str, cfg: dict, results, warning_list: list[str]) -> dict:
@@ -78,19 +74,9 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _fmt(value, precision: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return f"{value:.{precision}f}"
-    return str(value)
-
-
 def _parse_estimator_list(text: str) -> tuple[str, ...]:
     names = tuple(x.strip() for x in text.split(",") if x.strip())
-    unknown = [n for n in names if n not in ESTIMATOR_CHOICES]
+    unknown = [n for n in names if n not in ESTIMATORS]
     if unknown:
         raise ValueError(f"unknown estimators: {unknown}")
     if not names:
@@ -125,69 +111,39 @@ def cmd_estimate(args) -> int:
         "precision": args.precision,
     }
     _echo_config(cfg)
-    names = list(ESTIMATOR_CHOICES) if args.estimator == "all" else [args.estimator]
+    names = list(ESTIMATORS) if args.estimator == "all" else [args.estimator]
     results = []
-    successes = 0
     for name in names:
+        est, error = None, None
         try:
             est = ESTIMATORS[name](table)
-            successes += 1
-            results.append(
-                {
-                    "estimator": name,
-                    "C_hat": est.C_hat,
-                    "se": est.se,
-                    "f0_hat": est.f0_hat,
-                    "f1_hat": est.f1_hat,
-                    "model_p": est.model.p if est.model else None,
-                    "model_q": est.model.q if est.model else None,
-                    "warnings": est.warnings,
-                    "error": None,
-                }
-            )
-        except (NoAdmissibleModelError, InsufficientDataError, ValueError) as exc:
-            results.append(
-                {
-                    "estimator": name,
-                    "C_hat": None,
-                    "se": None,
-                    "f0_hat": None,
-                    "f1_hat": None,
-                    "model_p": None,
-                    "model_q": None,
-                    "warnings": [],
-                    "error": str(exc),
-                }
-            )
+        except ESTIMATOR_FAILURES as exc:
+            error = str(exc)
+        model = getattr(est, "model", None)
+        results.append(
+            {
+                "estimator": name,
+                **{k: getattr(est, k, None) for k in ("C_hat", "se", "f0_hat", "f1_hat")},
+                "model_p": getattr(model, "p", None),
+                "model_q": getattr(model, "q", None),
+                "warnings": getattr(est, "warnings", []),
+                "error": error,
+            }
+        )
     if args.output == "json":
-        payload = _envelope("estimate", cfg, results, global_warnings)
-        _write_text(args.out, json.dumps(_sanitize(payload), indent=2) + "\n")
+        text = to_json(_envelope("estimate", cfg, results, global_warnings))
     else:
-        lines = ["estimator,C_hat,se,f0_hat,f1_hat,model_p,model_q,warnings,error"]
-        for row in results:
-            lines.append(
-                ",".join(
-                    [
-                        row["estimator"],
-                        _fmt(row["C_hat"], args.precision),
-                        _fmt(row["se"], args.precision),
-                        _fmt(row["f0_hat"], args.precision),
-                        _fmt(row["f1_hat"], args.precision),
-                        _fmt(row["model_p"], args.precision),
-                        _fmt(row["model_q"], args.precision),
-                        '"' + "; ".join(row["warnings"]) + '"',
-                        '"' + (row["error"] or "") + '"',
-                    ]
-                )
-            )
-        _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if successes else EXIT_ALL_FAILED
+        text = to_csv(ESTIMATE_COLUMNS, results, args.precision)
+    _write_text(args.out, text)
+    return EXIT_OK if any(row["error"] is None for row in results) else EXIT_ALL_FAILED
 
 
 def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     try:
         estimators = _parse_estimator_list(args.estimators)
+        if args.workers < 1:
+            raise ValueError("workers must be >= 1")
         cfg = simlab.SimulationConfig(
             C=args.C,
             size=args.size,
@@ -246,6 +202,8 @@ def cmd_calibrate_se(args) -> int:
         prob_list = _parse_float_list(args.prob_list)
         if not c_list or not size_list or not prob_list:
             raise ValueError("empty parameter list")
+        if args.workers < 1:
+            raise ValueError("workers must be >= 1")
         if args.grid == "zip":
             if not (len(c_list) == len(size_list) == len(prob_list)):
                 raise ValueError("zipped lists must have equal lengths")
@@ -294,68 +252,34 @@ def cmd_calibrate_se(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         report = simlab.run_replications(cfg, workers=args.workers)
-        failures = report.stats[0].failures
+        cal = None
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 cal = simlab.calibration_from_report(report)
             row_warnings = [str(w.message) for w in caught]
-            rows.append(
-                {
-                    "C": c_true,
-                    "size": size,
-                    "prob": prob,
-                    "estimator": args.estimator,
-                    "median_se": cal.median_se,
-                    "mad_scaled": cal.mad_of_estimates,
-                    "relative_error_pct": cal.relative_error_percent,
-                    "failures": failures,
-                    "reps": args.reps,
-                    "seed": seed,
-                    "warnings": row_warnings,
-                }
-            )
         except simlab.AllReplicatesFailedError as exc:
-            rows.append(
-                {
-                    "C": c_true,
-                    "size": size,
-                    "prob": prob,
-                    "estimator": args.estimator,
-                    "median_se": None,
-                    "mad_scaled": None,
-                    "relative_error_pct": None,
-                    "failures": failures,
-                    "reps": args.reps,
-                    "seed": seed,
-                    "warnings": [str(exc)],
-                }
-            )
+            row_warnings = [str(exc)]
+        rows.append(
+            {
+                "C": c_true,
+                "size": size,
+                "prob": prob,
+                "estimator": args.estimator,
+                "median_se": getattr(cal, "median_se", None),
+                "mad_scaled": getattr(cal, "mad_of_estimates", None),
+                "relative_error_pct": getattr(cal, "relative_error_percent", None),
+                "failures": report.stats[0].failures,
+                "reps": args.reps,
+                "seed": seed,
+                "warnings": row_warnings,
+            }
+        )
     if args.output == "json":
-        payload = _envelope("calibrate-se", resolved, rows, global_warnings)
-        _write_text(args.out, json.dumps(_sanitize(payload), indent=2) + "\n")
+        text = to_json(_envelope("calibrate-se", resolved, rows, global_warnings))
     else:
-        lines = [
-            "C,size,prob,estimator,median_se,mad_scaled,relative_error_pct,failures,reps,seed"
-        ]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["C"]),
-                        str(row["size"]),
-                        repr(row["prob"]),
-                        row["estimator"],
-                        _fmt(row["median_se"], args.precision),
-                        _fmt(row["mad_scaled"], args.precision),
-                        _fmt(row["relative_error_pct"], args.precision),
-                        str(row["failures"]),
-                        str(row["reps"]),
-                        str(row["seed"]),
-                    ]
-                )
-            )
-        _write_text(args.out, "\n".join(lines) + "\n")
+        text = to_csv(CALIBRATION_COLUMNS, rows, args.precision)
+    _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -402,21 +326,10 @@ def cmd_rarefy(args) -> int:
     }
     _echo_config(resolved)
     rng = np.random.default_rng(seed)
-    rows = simlab.subsample_curve(abundances, fractions, args.reps, rng, estimators)
-    lines = ["fraction,estimator,mean_C_hat,sd_C_hat,failures"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    repr(row.fraction),
-                    row.estimator,
-                    _fmt(row.mean_C_hat, args.precision),
-                    _fmt(row.sd_C_hat, args.precision),
-                    str(row.failures),
-                ]
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    curve = simlab.subsample_curve(abundances, fractions, args.reps, rng, estimators)
+    columns = [f.name for f in dataclasses.fields(simlab.CurveRow)]
+    rows = [dataclasses.asdict(row) for row in curve]
+    _write_text(args.out, to_csv(columns, rows, args.precision))
     return EXIT_OK
 
 
@@ -428,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="richness estimates for one dataset")
     est.add_argument("--input", required=True, help="frequency table or abundance file")
     est.add_argument("--format", choices=("freq", "abundance"), default="freq")
-    est.add_argument("--estimator", choices=ESTIMATOR_CHOICES + ("all",), default="all")
+    est.add_argument("--estimator", choices=(*ESTIMATORS, "all"), default="all")
     est.add_argument("--output", choices=("json", "csv"), default="json")
     est.add_argument("--out", default=None, help="output file (default stdout)")
     est.add_argument("--precision", type=int, default=4, help="CSV decimal places")
@@ -442,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--trim", type=float, default=0.2)
-    sim.add_argument("--estimators", default="nof1,breakaway,chao1")
+    sim.add_argument("--estimators", default=",".join(ESTIMATORS))
     sim.add_argument("--out", required=True, help="report file")
     sim.add_argument("--output", choices=("json", "csv"), default=None,
                      help="report format (default: by file extension, else csv)")
@@ -457,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--size-list", dest="size_list", required=True, help="comma list")
     cal.add_argument("--prob-list", dest="prob_list", required=True, help="comma list")
     cal.add_argument("--grid", choices=("zip", "cross"), default="zip")
-    cal.add_argument("--estimator", choices=ESTIMATOR_CHOICES, default="nof1")
+    cal.add_argument("--estimator", choices=tuple(ESTIMATORS), default="nof1")
     cal.add_argument("--rate", type=float, default=0.0)
     cal.add_argument("--reps", type=int, required=True)
     cal.add_argument("--seed", type=int, default=None)
@@ -473,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     rar.add_argument("--fractions", required=True, help="comma list in (0, 1]")
     rar.add_argument("--reps", type=int, default=100)
     rar.add_argument("--seed", type=int, default=None)
-    rar.add_argument("--estimators", default="nof1,breakaway,chao1")
+    rar.add_argument("--estimators", default=",".join(ESTIMATORS))
     rar.add_argument("--out", default=None, help="output file (default stdout)")
     rar.add_argument("--precision", type=int, default=4)
     rar.set_defaults(func=cmd_rarefy)

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .freqtab import FrequencyCountTable, observed_richness
+from .freqtab import FrequencyCountTable, InsufficientDataError, observed_richness
 from .ratiofit import (
     FitResult,
     RankDeficiencyError,
@@ -46,6 +46,7 @@ __all__ = [
     "LADDER",
     "GROWTH_ALPHA",
     "ESTIMATORS",
+    "ESTIMATOR_FAILURES",
     "RichnessEstimate",
     "SelectionTrace",
     "NoAdmissibleModelError",
@@ -385,8 +386,12 @@ def chao1(table: FrequencyCountTable) -> RichnessEstimate:
     )
 
 
+# The registry of estimator ids, in report order; every list of names is read
+# from it at call time.
 ESTIMATORS = {
     "nof1": breakaway_nof1,
     "breakaway": breakaway,
     "chao1": chao1,
 }
+# What an estimator raises on data it cannot handle: tallied as a failure.
+ESTIMATOR_FAILURES = (NoAdmissibleModelError, InsufficientDataError, ValueError)

@@ -9,22 +9,21 @@ are kept out of the serialized report unless explicitly requested.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .estimators import ESTIMATORS, NoAdmissibleModelError
-from .freqtab import FrequencyCountTable, InsufficientDataError, from_abundances
+from ._output import to_csv, to_json
+from .estimators import ESTIMATOR_FAILURES, ESTIMATORS
+from .freqtab import FrequencyCountTable, from_abundances
 
 __all__ = [
-    "DEFAULT_ESTIMATORS",
     "MAD_SCALE",
     "SimulationConfig",
     "SimulationReport",
@@ -50,7 +49,6 @@ __all__ = [
     "report_to_json",
 ]
 
-DEFAULT_ESTIMATORS = ("nof1", "breakaway", "chao1")
 # Normal-consistency factor: MAD_SCALE * MAD estimates a standard deviation,
 # making the MAD column directly comparable against reported standard errors.
 MAD_SCALE = 1.4826
@@ -72,6 +70,7 @@ class SimulationConfig:
     C is the true richness; counts are negative binomial with the given size
     and probability parameters. chimeric_rate is the percentage by which the
     realized singleton count is inflated (100 doubles it, -80 keeps a fifth).
+    The estimators default to every registered one.
     """
 
     C: int
@@ -80,7 +79,7 @@ class SimulationConfig:
     chimeric_rate: float = 0.0
     reps: int = 1
     seed: int = 0
-    estimators: tuple[str, ...] = DEFAULT_ESTIMATORS
+    estimators: tuple[str, ...] = field(default_factory=lambda: tuple(ESTIMATORS))
     trim: float = 0.2
 
     def __post_init__(self) -> None:
@@ -90,6 +89,8 @@ class SimulationConfig:
             raise ValueError("size must be >= 1")
         if not (0.0 < self.prob < 1.0):
             raise ValueError("prob must lie strictly inside (0, 1)")
+        if not math.isfinite(self.chimeric_rate):
+            raise ValueError("chimeric_rate must be finite")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not (0 <= self.seed < 2**64):
@@ -289,7 +290,7 @@ def _single_replicate(
             result = estimator(table)
             elapsed = time.perf_counter() - start
             out[name] = (True, result.C_hat, result.se, elapsed)
-        except (NoAdmissibleModelError, InsufficientDataError, ValueError):
+        except ESTIMATOR_FAILURES:
             elapsed = time.perf_counter() - start
             out[name] = (False, math.nan, math.nan, elapsed)
     return out
@@ -396,7 +397,7 @@ def subsample_curve(
     fractions: Sequence[float],
     reps: int,
     rng: np.random.Generator,
-    estimators: Sequence[str] = DEFAULT_ESTIMATORS,
+    estimators: Sequence[str] | None = None,
 ) -> list[CurveRow]:
     """Estimator behaviour under multinomial subsampling of the reads.
 
@@ -405,6 +406,7 @@ def subsample_curve(
     re-estimates; fraction 1.0 evaluates the full sample exactly once. Rows
     come back fraction-major in the given (ascending) order; a row with no
     usable subsample is flagged with NaN summaries and a full failure count.
+    The estimators default to every registered one.
     """
     counts = np.asarray(abundances, dtype=np.int64)
     if counts.size == 0 or np.any(counts < 1):
@@ -418,6 +420,8 @@ def subsample_curve(
         raise ValueError("fractions must be sorted ascending")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if estimators is None:
+        estimators = tuple(ESTIMATORS)
     unknown = [name for name in estimators if name not in ESTIMATORS]
     if unknown:
         raise ValueError(f"unknown estimators: {unknown}")
@@ -445,7 +449,7 @@ def subsample_curve(
                     continue
                 try:
                     values.append(estimator(tbl).C_hat)
-                except (NoAdmissibleModelError, InsufficientDataError, ValueError):
+                except ESTIMATOR_FAILURES:
                     failures += 1
             if values:
                 arr = np.asarray(values)
@@ -477,6 +481,7 @@ _STAT_FIELDS = (
     "mad_of_estimates",
 )
 _RUNTIME_FIELDS = ("runtime_tmean", "runtime_mean", "runtime_median")
+_REPORT_COLUMNS = ("estimator", "statistic", "value", "failures", "reps", "seed")
 
 
 def report_rows(
@@ -489,28 +494,12 @@ def report_rows(
     asked for: the default rows are bit-reproducible from the configuration.
     """
     fields = _STAT_FIELDS + (_RUNTIME_FIELDS if include_runtimes else ())
-    rows = []
-    for entry in report.stats:
-        for field_name in fields:
-            rows.append(
-                (
-                    entry.estimator,
-                    field_name,
-                    getattr(entry, field_name),
-                    entry.failures,
-                    report.config.reps,
-                    report.config.seed,
-                )
-            )
-    return rows
-
-
-def _format_value(value: float, precision: int | None) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    if precision is None:
-        return repr(float(value))
-    return f"{value:.{precision}f}"
+    reps, seed = report.config.reps, report.config.seed
+    return [
+        (entry.estimator, name, getattr(entry, name), entry.failures, reps, seed)
+        for entry in report.stats
+        for name in fields
+    ]
 
 
 def report_to_csv(
@@ -518,34 +507,20 @@ def report_to_csv(
     include_runtimes: bool = False,
     precision: int | None = None,
 ) -> str:
-    lines = ["estimator,statistic,value,failures,reps,seed"]
-    for estimator, statistic, value, failures, reps, seed in report_rows(
-        report, include_runtimes
-    ):
-        lines.append(
-            f"{estimator},{statistic},{_format_value(value, precision)},{failures},{reps},{seed}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _nan_to_none(value: float) -> float | None:
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
+    rows = [dict(zip(_REPORT_COLUMNS, row)) for row in report_rows(report, include_runtimes)]
+    return to_csv(_REPORT_COLUMNS, rows, precision)
 
 
 def report_to_json(report: SimulationReport, include_runtimes: bool = False) -> str:
     fields = _STAT_FIELDS + (_RUNTIME_FIELDS if include_runtimes else ())
-    config = asdict(report.config)
-    config["estimators"] = list(config["estimators"])
     payload = {
-        "config": config,
+        "config": asdict(report.config),
         "estimators": {
             entry.estimator: {
-                **{name: _nan_to_none(getattr(entry, name)) for name in fields},
+                **{name: getattr(entry, name) for name in fields},
                 "failures": entry.failures,
             }
             for entry in report.stats
         },
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return to_json(payload)

@@ -249,6 +249,51 @@ class TestRarefy:
         assert code == 1
 
 
+class TestRejectedBeforeRunning:
+    SIMULATE = [
+        "simulate", "--C", "300", "--size", "500", "--prob", "0.99",
+        "--reps", "2", "--seed", "1",
+    ]
+    CALIBRATE = [
+        "calibrate-se", "--C-list", "200", "--size-list", "500", "--prob-list", "0.99",
+        "--reps", "2", "--seed", "1",
+    ]
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_simulate_non_finite_rate_exit_1(self, capsys, tmp_path, rate):
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, self.SIMULATE + [f"--rate={rate}", "--out", str(out)])
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: chimeric_rate must be finite"
+        ]
+        assert not out.exists()
+
+    def test_calibrate_non_finite_rate_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, self.CALIBRATE + ["--rate", "inf"])
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: chimeric_rate must be finite"
+        ]
+
+    def test_simulate_zero_workers_exit_1_before_echo(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, self.SIMULATE + ["--workers", "0", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 1
+        assert err == "error: workers must be >= 1\n"
+
+    def test_calibrate_zero_workers_exit_1_before_echo(self, capsys):
+        code, out, err = run_cli(capsys, self.CALIBRATE + ["--workers", "0"])
+        assert code == 1
+        assert out == ""
+        assert "resolved config" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: workers must be >= 1"
+        ]
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -175,6 +175,9 @@ class TestRunReplications:
             SimulationConfig(C=5, size=5, prob=0.5, estimators=("bogus",))
         with pytest.raises(ValueError):
             SimulationConfig(C=5, size=5, prob=0.5, seed=-1)
+        for rate in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                SimulationConfig(C=5, size=5, prob=0.5, chimeric_rate=rate)
 
 
 class TestReportSerialization:
