@@ -74,6 +74,11 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 0:
+        raise ValueError(f"precision must be >= 0, got {precision}")
+
+
 def _parse_estimator_list(text: str) -> tuple[str, ...]:
     names = tuple(x.strip() for x in text.split(",") if x.strip())
     unknown = [n for n in names if n not in ESTIMATORS]
@@ -85,6 +90,11 @@ def _parse_estimator_list(text: str) -> tuple[str, ...]:
 
 
 def cmd_estimate(args) -> int:
+    try:
+        _check_precision(args.precision)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
@@ -144,6 +154,7 @@ def cmd_simulate(args) -> int:
         estimators = _parse_estimator_list(args.estimators)
         if args.workers < 1:
             raise ValueError("workers must be >= 1")
+        _check_precision(args.precision)
         cfg = simlab.SimulationConfig(
             C=args.C,
             size=args.size,
@@ -204,12 +215,26 @@ def cmd_calibrate_se(args) -> int:
             raise ValueError("empty parameter list")
         if args.workers < 1:
             raise ValueError("workers must be >= 1")
+        _check_precision(args.precision)
         if args.grid == "zip":
             if not (len(c_list) == len(size_list) == len(prob_list)):
                 raise ValueError("zipped lists must have equal lengths")
             combos = list(zip(c_list, size_list, prob_list))
         else:
             combos = list(itertools.product(c_list, size_list, prob_list))
+        configs = [
+            simlab.SimulationConfig(
+                C=c_true,
+                size=size,
+                prob=prob,
+                chimeric_rate=args.rate,
+                reps=args.reps,
+                seed=seed,
+                estimators=(args.estimator,),
+                trim=args.trim,
+            )
+            for c_true, size, prob in combos
+        ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -236,21 +261,7 @@ def cmd_calibrate_se(args) -> int:
     _echo_config(resolved)
 
     rows = []
-    for c_true, size, prob in combos:
-        try:
-            cfg = simlab.SimulationConfig(
-                C=c_true,
-                size=size,
-                prob=prob,
-                chimeric_rate=args.rate,
-                reps=args.reps,
-                seed=seed,
-                estimators=(args.estimator,),
-                trim=args.trim,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    for cfg in configs:
         report = simlab.run_replications(cfg, workers=args.workers)
         cal = None
         try:
@@ -262,9 +273,9 @@ def cmd_calibrate_se(args) -> int:
             row_warnings = [str(exc)]
         rows.append(
             {
-                "C": c_true,
-                "size": size,
-                "prob": prob,
+                "C": cfg.C,
+                "size": cfg.size,
+                "prob": cfg.prob,
                 "estimator": args.estimator,
                 "median_se": getattr(cal, "median_se", None),
                 "mad_scaled": getattr(cal, "mad_of_estimates", None),
@@ -307,6 +318,7 @@ def cmd_rarefy(args) -> int:
         estimators = _parse_estimator_list(args.estimators)
         if args.reps < 1:
             raise ValueError("reps must be >= 1")
+        _check_precision(args.precision)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -28,16 +28,19 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
+from . import ratiofit as _ratiofit
 from .freqtab import FrequencyCountTable, InsufficientDataError, observed_richness
 from .ratiofit import (
     FitResult,
     RankDeficiencyError,
     RationalModel,
     RatioSeries,
+    _fit_batch,
     build_ratio_series,
     derived_quantities,
 )
@@ -111,59 +114,52 @@ def _is_perfect(fit: FitResult, series: RatioSeries) -> bool:
     return fit.weighted_sse <= _PERFECT_FIT_REL * energy
 
 
-def select_model(
-    series: RatioSeries, require_f1: bool = False
-) -> tuple[FitResult, SelectionTrace]:
-    """Pick the most parsimonious admissible rational model for a ratio series.
-
-    Fits every ladder rung with enough points (at least p+q+2). A rung is
-    admissible when the fit converged, the fitted denominator is positive on
-    the integer grid spanning [j_min, J+1], and beta0 > 0 so the implied
-    unseen count is positive; with require_f1 the predicted singleton count
-    must also be positive (b > 0). Among admissible rungs, walking the ladder
-    upward, a larger model supersedes the current choice only when the nested
-    F statistic on their weighted SSEs exceeds the GROWTH_ALPHA critical
-    value. Each fit's SSE is taken under its own final weights, so the test
-    is a selection guide rather than exact inference.
-    """
-    from .ratiofit import fit_wnls  # local import keeps module load cheap
-
-    n = len(series)
-    grid = np.arange(int(series.j[0]), int(series.j[-1]) + 2)
-    attempts: list[tuple[int, int, str | None]] = []
-    admissible: list[tuple[int, FitResult]] = []  # (index into attempts, fit)
-
-    for p, q in LADDER:
-        k = p + q + 1
-        if n < k + 1:
-            attempts.append((p, q, "insufficient-dof"))
-            continue
+def _fit_each(
+    batch: Sequence[RatioSeries], p: int, q: int
+) -> list[FitResult | RankDeficiencyError]:
+    """fit_wnls on each series in turn, looked up at call time so a wrapper of it sees every fit."""
+    out: list[FitResult | RankDeficiencyError] = []
+    for series in batch:
         try:
-            fit = fit_wnls(series, p, q)
-        except (RankDeficiencyError, np.linalg.LinAlgError, FloatingPointError):
-            attempts.append((p, q, "no-convergence"))
-            continue
-        if not fit.converged:
-            attempts.append((p, q, "no-convergence"))
-            continue
-        if np.any(_denominator_values(fit.model, grid) <= 0.0):
-            attempts.append((p, q, "denominator-violation"))
-            continue
-        if require_f1:
-            one_plus_alpha = 1.0 + sum(fit.model.alpha)
-            if not (one_plus_alpha > 0.0) or not (sum(fit.model.beta) / one_plus_alpha > 0.0):
-                attempts.append((p, q, "negative-f1"))
-                continue
-        if not (fit.model.beta[0] > 0.0):
-            attempts.append((p, q, "negative-f0"))
-            continue
-        admissible.append((len(attempts), fit))
-        attempts.append((p, q, None))
+            out.append(_ratiofit.fit_wnls(series, p, q))
+        except RankDeficiencyError as exc:
+            out.append(exc)
+    return out
 
+
+def _rejection(
+    fit: FitResult | RankDeficiencyError, series: RatioSeries, require_f1: bool
+) -> str | None:
+    """Why a rung's fit is not admissible, or None when it is."""
+    if isinstance(fit, RankDeficiencyError) or not fit.converged:
+        return "no-convergence"
+    grid = np.arange(int(series.j[0]), int(series.j[-1]) + 2)
+    if np.any(_denominator_values(fit.model, grid) <= 0.0):
+        return "denominator-violation"
+    if require_f1:
+        one_plus_alpha = 1.0 + sum(fit.model.alpha)
+        if not (one_plus_alpha > 0.0) or not (sum(fit.model.beta) / one_plus_alpha > 0.0):
+            return "negative-f1"
+    if not (fit.model.beta[0] > 0.0):
+        return "negative-f0"
+    return None
+
+
+def _choose(
+    series: RatioSeries,
+    attempts: list[tuple[int, int, str | None]],
+    admissible: list[tuple[int, FitResult]],
+) -> tuple[FitResult, SelectionTrace] | NoAdmissibleModelError:
+    """The nested-F walk over one series' admissible rungs, in ladder order.
+
+    attempts holds every rung's (p, q, outcome), with None for the admissible
+    ones; admissible pairs each admissible fit with its index in attempts.
+    """
+    n = len(series)
     trace = SelectionTrace()
     if not admissible:
         trace.tried = [(p, q, outcome) for p, q, outcome in attempts]  # type: ignore[misc]
-        raise NoAdmissibleModelError("no admissible model on the ladder", trace)
+        return NoAdmissibleModelError("no admissible model on the ladder", trace)
 
     labels: dict[int, str] = {}
     current = 0
@@ -194,13 +190,64 @@ def select_model(
     return admissible[current][1], trace
 
 
+def _select_batch(
+    batch: Sequence[RatioSeries],
+    require_f1: bool,
+    fit: Callable[[list[RatioSeries], int, int], list] = _fit_batch,
+) -> list[tuple[FitResult, SelectionTrace] | NoAdmissibleModelError]:
+    """select_model for every series of a batch, in order.
+
+    Each ladder rung is fitted once, by fit(series, p, q), for all the series
+    with enough points for it; admissibility, the F walk and the trace are
+    each series' own. A series with no admissible rung gets the
+    NoAdmissibleModelError that select_model raises.
+    """
+    attempts: list[list[tuple[int, int, str | None]]] = [[] for _ in batch]
+    admissible: list[list[tuple[int, FitResult]]] = [[] for _ in batch]
+    with np.errstate(all="ignore"):
+        for p, q in LADDER:
+            eligible = [i for i, series in enumerate(batch) if len(series) >= p + q + 2]
+            fits = dict(zip(eligible, fit([batch[i] for i in eligible], p, q) if eligible else []))
+            for i, series in enumerate(batch):
+                if i in fits:
+                    outcome = _rejection(fits[i], series, require_f1)
+                else:
+                    outcome = "insufficient-dof"
+                if outcome is None:
+                    admissible[i].append((len(attempts[i]), fits[i]))
+                attempts[i].append((p, q, outcome))
+    return [_choose(*args) for args in zip(batch, attempts, admissible)]
+
+
+def select_model(
+    series: RatioSeries, require_f1: bool = False
+) -> tuple[FitResult, SelectionTrace]:
+    """Pick the most parsimonious admissible rational model for a ratio series.
+
+    Fits every ladder rung with enough points (at least p+q+2). A rung is
+    admissible when the fit converged, the fitted denominator is positive on
+    the integer grid spanning [j_min, J+1], and beta0 > 0 so the implied
+    unseen count is positive; with require_f1 the predicted singleton count
+    must also be positive (b > 0). Among admissible rungs, walking the ladder
+    upward, a larger model supersedes the current choice only when the nested
+    F statistic on their weighted SSEs exceeds the GROWTH_ALPHA critical
+    value. Each fit's SSE is taken under its own final weights, so the test
+    is a selection guide rather than exact inference. This is _select_batch
+    for a batch of one, fitting each rung through fit_wnls.
+    """
+    outcome = _select_batch([series], require_f1, _fit_each)[0]
+    if isinstance(outcome, NoAdmissibleModelError):
+        raise outcome
+    return outcome
+
+
 @dataclass
 class RichnessEstimate:
     """A single estimator's output: the point estimate, its components, and spread.
 
     f1_hat is only present for the singleton-free estimator; model is absent
     for chao1. Warnings collect anything non-fatal the pipeline reported
-    (variance clamps, zero-dof variance scaling, ...).
+    (variance clamps, ...).
     """
 
     estimator: str
@@ -216,22 +263,19 @@ def _count_at_least(table: FrequencyCountTable, j_min: int) -> int:
     return sum(f for j, f in table.entries if j >= j_min)
 
 
-def breakaway(table: FrequencyCountTable) -> RichnessEstimate:
-    """Richness estimate that trusts the observed singleton count.
-
-    Fits ratios on j = 1..J and predicts f0 = f_1/beta0, so
-    C = f0 + sum_{j>=1} f_j. Requires a singleton entry; without one the
-    singleton-free variant is the right tool.
-    """
+def _breakaway_series(table: FrequencyCountTable) -> RatioSeries:
     f1 = table.get(1)
     if f1 == 0:
         raise ValueError(
             "table has no singleton entry (f_1); use breakaway_nof1, which predicts it"
         )
+    return build_ratio_series(table, 1)
+
+
+def _breakaway_estimate(table: FrequencyCountTable, fit: FitResult) -> RichnessEstimate:
+    f1 = table.get(1)
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
-        series = build_ratio_series(table, 1)
-        fit, _ = select_model(series, require_f1=False)
         beta0 = fit.model.beta[0]
         f0_hat = f1 / beta0
         c = observed_richness(table)
@@ -247,6 +291,18 @@ def breakaway(table: FrequencyCountTable) -> RichnessEstimate:
         model=fit.model,
         warnings=notes,
     )
+
+
+def breakaway(table: FrequencyCountTable) -> RichnessEstimate:
+    """Richness estimate that trusts the observed singleton count.
+
+    Fits ratios on j = 1..J and predicts f0 = f_1/beta0, so
+    C = f0 + sum_{j>=1} f_j. Requires a singleton entry; without one the
+    singleton-free variant is the right tool. This is _estimate_batch's
+    breakaway for a batch of one table.
+    """
+    fit, _ = select_model(_breakaway_series(table), require_f1=False)
+    return _breakaway_estimate(table, fit)
 
 
 def _breakaway_standard_error(fit: FitResult, f1: int, c: int, f0_hat: float) -> float:
@@ -274,20 +330,15 @@ def _breakaway_standard_error(fit: FitResult, f1: int, c: int, f0_hat: float) ->
     return math.sqrt(var_c)
 
 
-def breakaway_nof1(table: FrequencyCountTable) -> RichnessEstimate:
-    """Richness estimate that ignores the stored singleton count.
-
-    Fits ratios on j = 2..J, predicts the true singleton count from the
-    doubletons, f1 = f_2/b, then the unseen count f0 = f1/beta0; the total is
-    C = f0 + f1 + sum_{j>=2} f_j. Any stored f_1 never enters, so the result
-    is invariant to singleton corruption.
-    """
+def _nof1_series(table: FrequencyCountTable) -> RatioSeries:
     if table.get(2) == 0:
         raise ValueError("table has no doubleton entry (f_2); cannot predict singletons")
+    return build_ratio_series(table, 2)
+
+
+def _nof1_estimate(table: FrequencyCountTable, fit: FitResult) -> RichnessEstimate:
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
-        series = build_ratio_series(table, 2)
-        fit, _ = select_model(series, require_f1=True)
         quantities = derived_quantities(fit)
         f2 = table.get(2)
         f1_hat = f2 / quantities.b_hat
@@ -305,6 +356,19 @@ def breakaway_nof1(table: FrequencyCountTable) -> RichnessEstimate:
         model=fit.model,
         warnings=notes,
     )
+
+
+def breakaway_nof1(table: FrequencyCountTable) -> RichnessEstimate:
+    """Richness estimate that ignores the stored singleton count.
+
+    Fits ratios on j = 2..J, predicts the true singleton count from the
+    doubletons, f1 = f_2/b, then the unseen count f0 = f1/beta0; the total is
+    C = f0 + f1 + sum_{j>=2} f_j. Any stored f_1 never enters, so the result
+    is invariant to singleton corruption. This is _estimate_batch's nof1 for
+    a batch of one table.
+    """
+    fit, _ = select_model(_nof1_series(table), require_f1=True)
+    return _nof1_estimate(table, fit)
 
 
 def nof1_standard_error(
@@ -395,3 +459,41 @@ ESTIMATORS = {
 }
 # What an estimator raises on data it cannot handle: tallied as a failure.
 ESTIMATOR_FAILURES = (NoAdmissibleModelError, InsufficientDataError, ValueError)
+# The fitted estimators' steps around model selection: the table's ratio
+# series, require_f1, and the estimate from the selected fit.
+_BATCH_FORMS = {
+    breakaway_nof1: (_nof1_series, True, _nof1_estimate),
+    breakaway: (_breakaway_series, False, _breakaway_estimate),
+}
+
+
+def _attempt(fn: Callable, *args):
+    try:
+        return fn(*args)
+    except ESTIMATOR_FAILURES as exc:
+        return exc
+
+
+def _estimate_batch(
+    name: str, tables: Sequence[FrequencyCountTable]
+) -> list[RichnessEstimate | Exception]:
+    """Registry estimator `name` on every table: its estimate, or the failure it raised.
+
+    The package's fitted estimators build every table's ratio series, select
+    all the models together (_select_batch) and finish each table alone: the
+    same estimates as calling them table by table. Any other registry entry,
+    such as a stub or a wrapper, is called once per table. Failures outside
+    ESTIMATOR_FAILURES propagate.
+    """
+    estimator = ESTIMATORS[name]
+    if estimator not in _BATCH_FORMS:
+        return [_attempt(estimator, table) for table in tables]
+    prepare, require_f1, finish = _BATCH_FORMS[estimator]
+    out = [_attempt(prepare, table) for table in tables]
+    ready = [i for i, series in enumerate(out) if isinstance(series, RatioSeries)]
+    for i, selected in zip(ready, _select_batch([out[i] for i in ready], require_f1)):
+        if isinstance(selected, NoAdmissibleModelError):
+            out[i] = selected
+        else:
+            out[i] = _attempt(finish, tables[i], selected[0])
+    return out

@@ -39,7 +39,9 @@ class FrequencyCountTable:
     """Sparse map from count value j to the number of taxa seen exactly j times.
 
     Entries are (j, f_j) pairs sorted by j. Zero frequencies are never stored;
-    absence of a count value means f_j = 0.
+    absence of a count value means f_j = 0. A lookup dict built once at
+    construction backs get; it is not a field, so equality, hashing and
+    repr see the entries alone.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -56,6 +58,7 @@ class FrequencyCountTable:
             if f < 1:
                 raise ValueError(f"frequency f_{j} must be >= 1, got {f}")
             prev = j
+        object.__setattr__(self, "_lookup", dict(self.entries))
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "FrequencyCountTable":
@@ -63,10 +66,7 @@ class FrequencyCountTable:
 
     def get(self, j: int) -> int:
         """f_j, or 0 when no taxa were observed exactly j times."""
-        for jj, f in self.entries:
-            if jj == j:
-                return f
-        return 0
+        return self._lookup.get(j, 0)
 
     @property
     def counts(self) -> dict[int, int]:

@@ -17,6 +17,12 @@ at most q <= 3 parameters are nonlinear. Every finite fitted function sits
 at finite coordinates in this chart: the limit d0 -> 0, where m(0) -> inf and
 the coefficients of the reported form below diverge, is an ordinary point.
 
+One kernel fits a whole batch of series of one rung in lockstep: arrays are
+stacked as (batch, points, coef), each series is padded with zero-weight
+rows to a length set by its own point count, and each gets LAPACK calls of
+its own, so a fit is a pure function of its series, bit for bit, whatever
+batch it is fitted in. fit_wnls is the kernel's batch of one.
+
 Results are reported as RationalModel (beta, alpha) = (c / d0, d[1:] / d0),
 the form with D(0) = 1. The chart covariance is sigma^2 (Jw' Jw)^-1, with Jw
 the weighted Jacobian of m over (c, tangent directions of d) at the optimum
@@ -28,9 +34,9 @@ covariance itself, which stays well conditioned where the mapped one does not.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -61,6 +67,10 @@ _DAMPING_MIN = 1e-15
 # A Newton step that lowers the SSE by more than this fraction is tried
 # again stretched; see _variable_projection.
 _EXTRAPOLATE_ABOVE = 1e-4
+# Series are padded with zero-weight rows to a multiple of this many points,
+# so the padding, and with it every fitted bit, depends on a series' own
+# length and never on the batch it is fitted in.
+_PAD_ROWS = 8
 # Fitted ratios are floored at this magnitude inside the reweighting rule so
 # a near-zero fitted value cannot produce an infinite weight.
 _RATIO_FLOOR = 1e-8
@@ -208,8 +218,16 @@ class FitResult:
 
 
 def _design_matrices(j: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vandermonde columns j^0..j^p for the numerator and j^0..j^q for the denominator."""
-    return j[:, None] ** np.arange(p + 1)[None, :], j[:, None] ** np.arange(q + 1)[None, :]
+    """Vandermonde columns j^0..j^p for the numerator and j^0..j^q for the denominator.
+
+    j may carry leading batch axes. Powers are repeated products, exact for
+    the integer j of a ratio series.
+    """
+    powers = np.empty(np.shape(j) + (max(p, q) + 1,))
+    powers[..., 0] = 1.0
+    for e in range(1, powers.shape[-1]):
+        np.multiply(powers[..., e - 1], j, out=powers[..., e])
+    return np.ascontiguousarray(powers[..., : p + 1]), np.ascontiguousarray(powers[..., : q + 1])
 
 
 def _model_and_jacobian(
@@ -217,141 +235,414 @@ def _model_and_jacobian(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model values m(j) = N(j)/D(j), the Jacobian dm/d(c, d) and D(j).
 
-    dm/dc_i = j^i / D and dm/dd_k = -m(j) j^k / D. A vanishing denominator
-    propagates as inf/nan.
+    dm/dc_i = j^i / D and dm/dd_k = -m(j) j^k / D. The arrays may carry a
+    leading batch axis. A vanishing denominator propagates as inf/nan.
     """
-    den = vd @ d
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = (vn @ c) / den
-        jac = np.hstack([vn, -m[:, None] * vd]) / den[:, None]
-    return m, jac, den
+    den = np.matmul(vd, d[..., None])
+    m = np.matmul(vn, c[..., None]) / den
+    jac = np.concatenate([vn, -m * vd], axis=-1) / den
+    return m[..., 0], jac, den[..., 0]
 
 
 def _tangent_basis(d: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the plane orthogonal to the unit vector d.
+    """Orthonormal bases of the planes orthogonal to unit vectors d, shape (..., q+1).
 
     Columns 1.. of the Householder reflection I - v v' / (1 + |d0|), with
     v = d + sign(d0) e0, which maps e0 to -sign(d0) d.
     """
-    v = d.copy()
-    v[0] += math.copysign(1.0, d[0])
-    return np.eye(d.size, d.size - 1, -1) - np.outer(v, v[1:] / (1.0 + abs(d[0])))
+    size = d.shape[-1]
+    v = d + np.copysign(_eye(size)[0], d[..., :1])
+    scaled = v[..., None, 1:] / np.abs(v[..., :1, None])
+    return _eye(size, -1) - v[..., :, None] * scaled
+
+
+@lru_cache(maxsize=None)
+def _eye(size: int, shift: int = 0) -> np.ndarray:
+    """np.eye(size, size + shift, shift), built once and read-only."""
+    eye = np.eye(size, size + shift, shift)
+    eye.flags.writeable = False
+    return eye
 
 
 class _Projection(NamedTuple):
-    """The weighted linear subproblem at one denominator, solved by QR.
+    """The weighted linear subproblems of a batch at one denominator each.
 
-    qr is LAPACK's compact QR of the weighted design A (R is its upper
-    triangle), qmat the explicit orthonormal factor Q.
+    Arrays are stacked over the series; den is D(j) as (batch, 1, points).
+    qr[i].T and tau[i] are LAPACK's compact QR of the augmented weighted
+    design [A | sqrt(w) r] of series i, stored transposed so that LAPACK
+    factors it in place: its top k rows hold R and Q' sqrt(w) r, and its
+    (k, k) entry is the norm of the projected residual, so sse needs no
+    explicit Q. sse is inf where D vanishes on the data.
     """
 
     den: np.ndarray
     qr: np.ndarray
-    qmat: np.ndarray
-    resid: np.ndarray
-    sse: float
+    tau: np.ndarray
+    sse: np.ndarray
+
+    def take(self, rows) -> "_Projection":
+        return _Projection(*(a[rows] for a in self))
+
+    def put(self, rows, other: "_Projection") -> None:
+        for a, b in zip(self, other):
+            a[rows] = b
 
 
 def _project(
-    d: np.ndarray, vn: np.ndarray, vd: np.ndarray, sw: np.ndarray, swr: np.ndarray
-) -> _Projection | None:
-    """Numerator solving the weighted least squares for denominator d.
+    d: np.ndarray, swvn_t: np.ndarray, vd_t: np.ndarray, swr: np.ndarray
+) -> _Projection:
+    """Numerators solving the weighted least squares for denominators d (batch, q+1).
 
-    The weighted design is A = sqrt(w) j^i / D(j); the projected residual is
-    sqrt(w) r - Q Q' sqrt(w) r with A = QR. None when D vanishes on the data.
+    The weighted design is A = sqrt(w) j^i / D(j), from swvn_t = sqrt(w) j^i
+    and vd_t = j^i as (batch, coef, points), and swr = sqrt(w) r; the
+    projected residual is sqrt(w) r - Q Q' sqrt(w) r with A = QR. Each series
+    gets a LAPACK call of its own, so its result does not depend on the rest
+    of the batch.
     """
-    den = vd @ d
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        design = (sw / den)[:, None] * vn
-    if not np.isfinite(design).all():
-        return None
-    qr, tau, _, _ = _lapack.dgeqrf(design)
-    qmat = _lapack.dorgqr(qr, tau)[0]
-    resid = swr - qmat @ (qmat.T @ swr)
-    return _Projection(den, qr, qmat, resid, float(resid @ resid))
+    den = np.matmul(d[:, None, :], vd_t)
+    k = swvn_t.shape[1]
+    qr = np.empty((len(d), k + 1, swr.shape[1]))
+    np.divide(swvn_t, den, out=qr[:, :k])
+    qr[:, k] = swr
+    finite = np.isfinite(qr).all(axis=(1, 2))
+    tau = np.empty((len(d), k + 1))
+    rows = finite.nonzero()[0]
+    for i in rows:
+        factored, tau[i], _, _ = _lapack.dgeqrf(qr[i].T, overwrite_a=True)
+        if not np.may_share_memory(factored, qr):  # LAPACK was handed a copy
+            qr[i] = factored.T
+    sse = qr[:, k, k] ** 2
+    if rows.size < len(d):
+        sse[~finite] = np.inf
+    return _Projection(den, qr, tau, sse)
+
+
+def _numerators(at: _Projection) -> np.ndarray:
+    """c = R^-1 Q' sqrt(w) r for each series of a projection."""
+    k = at.qr.shape[1] - 1
+    c = np.empty((len(at.qr), k))
+    for i, qr in enumerate(at.qr):
+        c[i] = _lapack.dtrtrs(qr[:k, :k].T, qr[k, :k])[0]
+    return c
 
 
 def _newton_system(
     d: np.ndarray, at: _Projection, vd: np.ndarray, swr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent basis T, Hessian, Jacobian-product diagonal and gradient at d.
+    """Tangent bases T, Hessians, damping matrices and gradients at d.
 
     The objective is half the projected SSE as a function of u, the move
     d + T u in the plane tangent to d. With K = dresid/du at fixed c and
     G = resid / D times the tangent denominator columns, the exact Hessian is
     the Schur complement of the (c, u) Hessian at c = c(d):
-    K'K - 2 K'G - X'X with X = Q'(G - K), since R^-T A' = Q'.
+    K'K - 2 K'G - X'X with X = Q'(G - K), since R^-T A' = Q'. The damping
+    matrix is the diagonal of K'K; it vanishes only where the fitted values
+    vanish on every data point.
     """
+    k = at.qr.shape[1] - 1
+    qaug = np.empty(at.qr.transpose(0, 2, 1).shape)
+    for i, (qr, tau) in enumerate(zip(at.qr, at.tau)):
+        qaug[i] = _lapack.dorgqr(qr.T, tau)[0]
+    resid = qaug[:, :, k:] * at.qr[:, k : k + 1, k : k + 1]
     basis = _tangent_basis(d)
-    vd_u = vd @ basis
-    k_u = ((swr - at.resid) / at.den)[:, None] * vd_u
-    g_u = (at.resid / at.den)[:, None] * vd_u
-    nq = basis.shape[1]
-    products = k_u.T @ np.hstack([k_u, g_u, at.resid[:, None]])
-    x = at.qmat.T @ (g_u - k_u)
-    hess = products[:, :nq] - 2.0 * products[:, nq : 2 * nq] - x.T @ x
-    return basis, hess, np.diag(products[:, :nq]), products[:, -1]
+    nq = basis.shape[2]
+    vd_u = np.matmul(vd, basis) / at.den.transpose(0, 2, 1)
+    k_u = (swr - resid) * vd_u
+    g_u = resid * vd_u
+    products = np.matmul(k_u.transpose(0, 2, 1), np.concatenate([k_u, g_u, resid], axis=2))
+    x = np.matmul(qaug[:, :, :k].transpose(0, 2, 1), g_u - k_u)
+    hess = products[:, :, :nq] - 2.0 * products[:, :, nq : 2 * nq]
+    hess -= np.matmul(x.transpose(0, 2, 1), x)
+    return basis, hess, products[:, :, :nq] * _eye(nq), products[:, :, -1]
 
 
 def _variable_projection(
     d: np.ndarray, vn: np.ndarray, vd: np.ndarray, r: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Damped Newton over the unit denominator with fixed weights.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton over the unit denominators of a batch of series, with fixed weights.
 
-    Minimizes the projected SSE |sqrt(w) r - A(d) c(d)|^2 over moves in the
-    plane tangent to d, with the exact Hessian from _newton_system; the
+    Minimizes each series' projected SSE |sqrt(w) r - A(d) c(d)|^2 over moves
+    in the plane tangent to d, with the exact Hessian from _newton_system; the
     residuals are not small, so Gauss-Newton alone converges only linearly.
     The trial point is (d + T u) / |d + T u|: m is unchanged by rescaling d.
     Multiplicative damping on the Jacobian product's diagonal: /10 on an
     accepted step, x10 on a rejected one. A step that lowers the SSE by more
     than _EXTRAPOLATE_ABOVE is stretched 2, 4 and 8 times for as long as that
     lowers it further, which crosses the long flat stretches between a
-    start and a distant optimum in few steps. Stops when the relative SSE
-    change drops below SSE_REL_TOL, the step's max-norm drops below STEP_TOL,
-    or the iteration budget runs out. Returns the final
-    (d, c, iterations, converged).
+    start and a distant optimum in few steps. A series stops when its relative
+    SSE change drops below SSE_REL_TOL, the Euclidean norm of its step drops
+    below STEP_TOL, its damping passes _DAMPING_MAX or the iteration budget
+    runs out.
+
+    Arrays are (batch, points, coef), with zero weights on padding rows. The
+    batch moves in lockstep, one step per series per round: the linear
+    algebra runs on the stacked arrays, the per-series decisions on lists.
+    Each series keeps its own damping and stretches and leaves the batch when
+    it stops. Returns per series the final d, c, iterations and converged
+    flag, and a singular flag for a series whose damped system could not be
+    solved or whose start has D vanishing on the data (its other entries are
+    then meaningless).
     """
     sw = np.sqrt(w)
     swr = sw * r
-    at = _project(d, vn, vd, sw, swr)
-    lam = INITIAL_DAMPING
-    converged = d.size == 1
-    iterations = 0
-    system = None
-    while not converged and iterations < MAX_ITERATIONS:
-        iterations += 1
-        if system is None:
-            # kept across rejected steps, which only raise the damping
-            system = _newton_system(d, at, vd, swr)
-        basis, hess, damp, grad = system
-        damp = np.where(damp > 0.0, damp, 1.0)
-        _, _, delta, info = _lapack.dgesv(hess + lam * np.diag(damp), -grad)
-        if info or not np.isfinite(delta).all():
-            raise RankDeficiencyError("singular normal equations")
-        step = float(np.max(np.abs(delta)))
-        move = basis @ delta
-        trial = (d + move) / math.sqrt(1.0 + delta @ delta)
-        at_trial = _project(trial, vn, vd, sw, swr)
-        if at_trial is not None and at_trial.sse < at.sse:
-            if at.sse - at_trial.sse > _EXTRAPOLATE_ABOVE * at.sse:
-                for stretch in (2.0, 4.0, 8.0):
-                    far = (d + stretch * move) / math.sqrt(1.0 + stretch**2 * (delta @ delta))
-                    at_far = _project(far, vn, vd, sw, swr)
-                    if at_far is None or at_far.sse >= at_trial.sse:
-                        break
-                    trial, at_trial = far, at_far
-            rel_drop = (at.sse - at_trial.sse) / max(at.sse, 1e-300)
-            d, at, system = trial, at_trial, None
-            lam = max(lam / _DAMPING_GROWTH, _DAMPING_MIN)
-            converged = rel_drop < SSE_REL_TOL or step < STEP_TOL
-        else:
-            lam *= _DAMPING_GROWTH
-            # cannot improve and the proposed step is negligible: stalled at
-            # the optimum
-            converged = step < STEP_TOL
-            if lam > _DAMPING_MAX:
+    swvn_t = (sw[:, :, None] * vn).transpose(0, 2, 1).copy()
+    vd_t = vd.transpose(0, 2, 1).copy()
+    at = _project(d, swvn_t, vd_t, swr)
+    size, kd = d.shape
+    singular = np.isinf(at.sse)
+    if kd == 1:
+        return d, _numerators(at), np.zeros(size, dtype=int), ~singular, singular
+    d_out, c_out = d.copy(), np.empty((size, vn.shape[2]))
+    iterations = np.zeros(size, dtype=int)
+    converged = np.zeros(size, dtype=bool)
+    # the series still stepping; every array below holds exactly these, in order
+    live = (~singular).nonzero()[0]
+    if live.size < size:
+        d, at, swvn_t, vd_t, vd, swr = (
+            d[live], at.take(live), swvn_t[live], vd_t[live], vd[live], swr[live]
+        )
+    else:
+        d = d.copy()
+    lam = [INITIAL_DAMPING] * live.size
+    refresh = list(range(live.size))  # the series whose Newton system is out of date
+    for it in range(1, MAX_ITERATIONS + 1):
+        count = live.size
+        if not count:
+            break
+        if len(refresh) == count:
+            basis, hess, damp, grad = _newton_system(d, at, vd, swr[:, :, None])
+        elif refresh:
+            fresh = _newton_system(
+                d[refresh], at.take(refresh), vd[refresh], swr[refresh][:, :, None]
+            )
+            for old, new in zip((basis, hess, damp, grad), fresh):
+                old[refresh] = new
+        # delta solves (hess + lam damp) delta = grad; the Newton step is -delta
+        lhs = hess + np.array(lam)[:, None, None] * damp
+        delta = np.empty_like(grad)
+        bad = set()
+        for i in range(count):
+            _, _, delta[i], info = _lapack.dgesv(lhs[i], grad[i])
+            if info:
+                bad.add(i)
+        sq = np.add.reduce(delta * delta, axis=1)
+        step = sq.tolist()
+        bad.update(i for i, value in enumerate(step) if not math.isfinite(value))
+        if bad:
+            delta[list(bad)] = 0.0
+            sq[list(bad)] = 0.0
+        move = np.matmul(basis, delta[:, :, None])[:, :, 0]
+        trial = (d - move) / np.sqrt(1.0 + sq)[:, None]
+        at_trial = _project(trial, swvn_t, vd_t, swr)
+        before, after = at.sse.tolist(), at_trial.sse.tolist()
+        far = [i for i in range(count) if before[i] - after[i] > _EXTRAPOLATE_ABOVE * before[i]]
+        for stretch in (2.0, 4.0, 8.0):
+            if not far:
                 break
-    return d, _lapack.dtrtrs(at.qr, at.qmat.T @ swr)[0], iterations, converged
+            rows = far if len(far) < count else slice(None)
+            point = (d[rows] - stretch * move[rows]) / np.sqrt(1.0 + stretch**2 * sq[rows])[:, None]
+            at_point = _project(point, swvn_t[rows], vd_t[rows], swr[rows])
+            reached = at_point.sse.tolist()
+            gain = [g for g, i in enumerate(far) if reached[g] < after[i]]
+            far = [far[g] for g in gain]
+            if len(far) == count:
+                trial, at_trial = point, at_point
+            elif far:
+                trial[far] = point[gain]
+                at_trial.put(far, at_point.take(gain))
+            for g, i in zip(gain, far):
+                after[i] = reached[g]
+
+        refresh, stop, done = [], [], []
+        for i in range(count):
+            if after[i] < before[i]:
+                refresh.append(i)
+                lam[i] = max(lam[i] / _DAMPING_GROWTH, _DAMPING_MIN)
+                rel_drop = (before[i] - after[i]) / max(before[i], 1e-300)
+                finished = rel_drop < SSE_REL_TOL or step[i] < STEP_TOL**2
+            else:
+                lam[i] *= _DAMPING_GROWTH
+                # cannot improve and the proposed step is negligible: stalled
+                # at the optimum
+                finished = step[i] < STEP_TOL**2
+            if finished or lam[i] > _DAMPING_MAX or i in bad or it == MAX_ITERATIONS:
+                stop.append(i)
+                done.append(finished and i not in bad)
+        if len(refresh) == count:
+            d, at = trial, at_trial
+        elif refresh:
+            d[refresh] = trial[refresh]
+            at.put(refresh, at_trial.take(refresh))
+        if stop:
+            every = slice(None) if len(stop) == count else stop
+            rows = live[every]
+            iterations[rows] = it
+            converged[rows] = done
+            singular[rows] = [i in bad for i in stop]
+            d_out[rows] = d[every]
+            c_out[rows] = _numerators(at.take(every))
+            if len(stop) == count:
+                break
+            halted = set(stop)
+            keep = [i for i in range(count) if i not in halted]
+            position = {i: k for k, i in enumerate(keep)}
+            refresh = [position[i] for i in refresh if i in position]
+            live, d, at, lam = live[keep], d[keep], at.take(keep), [lam[i] for i in keep]
+            swvn_t, vd_t, vd, swr = swvn_t[keep], vd_t[keep], vd[keep], swr[keep]
+            basis, hess, damp, grad = basis[keep], hess[keep], damp[keep], grad[keep]
+    return d_out, c_out, iterations, converged, singular
+
+
+def _fit_results(
+    batch: Sequence[RatioSeries],
+    p: int,
+    q: int,
+    arrays: tuple[np.ndarray, ...],
+    iterations: np.ndarray,
+    converged: np.ndarray,
+) -> list[FitResult | RankDeficiencyError]:
+    """Each series' FitResult at its optimum, or the RankDeficiencyError it raises.
+
+    arrays holds the stacked, padded (c, d, w, vn, vd, r) of _fit_rows, with
+    the final weights w. The error is raised when the coefficient covariance
+    is singular or the denominator vanishes at j = 0.
+    """
+    c, d, w, vn, vd, r = arrays
+    size = len(batch)
+    k = p + q + 1
+    flip = np.copysign(1.0, d[:, :1])
+    c, d = c * flip, d * flip
+    m, jac, _ = _model_and_jacobian(c, d, vn, vd)
+    residuals = r - m
+    sw = np.sqrt(w)
+    swres = sw * residuals
+    weighted_sse = np.matmul(swres[:, None, :], swres[:, :, None])[:, 0, 0]
+    sigma2 = weighted_sse / (np.array([len(series) for series in batch]) - k)
+
+    # chart coordinates: c and the q tangent directions of d
+    embed = np.zeros((size, k + 1, k))
+    embed[:, : p + 1, : p + 1] = _eye(p + 1)
+    if q:
+        embed[:, p + 1 :, p + 1 :] = _tangent_basis(d)
+    jw = sw[:, :, None] * np.matmul(jac, embed)
+    gram = np.matmul(jw.transpose(0, 2, 1), jw)
+    scale = np.sqrt(gram.diagonal(axis1=1, axis2=2))
+    outer = scale[:, :, None] * scale[:, None, :]
+    inverse = np.empty_like(gram)
+    singular = np.zeros(size, dtype=bool)
+    for i, scaled in enumerate(gram / outer):
+        _, _, inverse[i], info = _lapack.dgesv(scaled, _eye(k))
+        singular[i] = info != 0
+    chart_cov = sigma2[:, None, None] * inverse / outer
+    singular |= ~np.isfinite(chart_cov).all(axis=(1, 2))
+    chart_cov = np.matmul(np.matmul(embed, chart_cov), embed.transpose(0, 2, 1))
+
+    # map (c, d) to (beta, alpha) = (c, d[1:]) / d0
+    d0 = d[:, :1, None]
+    theta = np.concatenate([c, d[:, 1:]], axis=1) / d[:, :1]
+    to_theta = np.zeros((size, k, k + 1))
+    to_theta[:, :, p + 1] = -theta / d[:, :1]
+    to_theta[:, : p + 1, : p + 1] = _eye(p + 1) / d0
+    to_theta[:, p + 1 :, p + 2 :] = _eye(q) / d0
+    cov = np.matmul(np.matmul(to_theta, chart_cov), to_theta.transpose(0, 2, 1))
+    # d0 = 0 makes to_theta, and with it cov, non-finite
+    pole = ~np.isfinite(cov).all(axis=(1, 2))
+    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+    cov -= np.minimum(cov.diagonal(axis1=1, axis2=2), 0.0)[:, :, None] * _eye(k)
+
+    out: list[FitResult | RankDeficiencyError] = []
+    for i, series in enumerate(batch):
+        n = len(series)
+        if singular[i]:
+            out.append(RankDeficiencyError("coefficient covariance is singular"))
+        elif pole[i]:
+            out.append(RankDeficiencyError("fitted denominator vanishes at j = 0"))
+        else:
+            out.append(
+                FitResult(
+                    model=RationalModel.from_vector(theta[i], p, q),
+                    cov=cov[i],
+                    residuals=residuals[i, :n],
+                    converged=bool(converged[i]),
+                    iterations=int(iterations[i]),
+                    weighted_sse=float(weighted_sse[i]),
+                    weights=w[i, :n],
+                    chart=FittingChart(c[i], d[i], chart_cov[i]) if q else None,
+                )
+            )
+    return out
+
+
+def _fit_rows(
+    batch: Sequence[RatioSeries], p: int, q: int, rows: int
+) -> list[FitResult | RankDeficiencyError]:
+    """fit_wnls for series of at most `rows` points, padded to `rows` and fitted together."""
+    size = len(batch)
+    j = np.empty((size, rows))
+    r = np.empty((size, rows))
+    # infinite inverse counts make the padding's weights exactly zero in every pass
+    inverse_counts = np.full((size, rows), np.inf)
+    for i, series in enumerate(batch):
+        n = len(series)
+        j[i, :n], j[i, n:] = series.j, series.j[-1]
+        r[i, :n], r[i, n:] = series.ratio, series.ratio[-1]
+        inverse_counts[i, :n] = 1.0 / series.count_hi + 1.0 / series.count_lo
+    vn, vd = _design_matrices(j, p, q)
+
+    # first-pass weights: the first-order ratio variance evaluated at the
+    # observed ratios, so the large low-j ratios do not dominate in absolute
+    # terms before the fitted ratios are known.
+    w = 1.0 / (r**2 * inverse_counts)
+
+    d = np.zeros((size, q + 1))
+    d[:, 0] = 1.0
+    alive = np.arange(size)
+    iterations = np.zeros(size, dtype=int)
+    for pass_index in range(REWEIGHT_PASSES):
+        if pass_index:
+            m = np.matmul(vn, c[:, :, None]) / np.matmul(vd, d[:, :, None])
+            w = 1.0 / (np.maximum(np.abs(m[:, :, 0]), _RATIO_FLOOR) ** 2 * inverse_counts)
+        d, c, steps, converged, singular = _variable_projection(d, vn, vd, r, w)
+        iterations += steps
+        if singular.nonzero()[0].size:
+            keep = (~singular).nonzero()[0]
+            alive, d, c, converged, w = alive[keep], d[keep], c[keep], converged[keep], w[keep]
+            vn, vd, r, inverse_counts = vn[keep], vd[keep], r[keep], inverse_counts[keep]
+            iterations = iterations[keep]
+    fits = _fit_results(
+        [batch[i] for i in alive], p, q, (c, d, w, vn, vd, r), iterations, converged
+    )
+    done = dict(zip(alive.tolist(), fits))
+    return [
+        done[i] if i in done else RankDeficiencyError("singular normal equations")
+        for i in range(size)
+    ]
+
+
+def _fit_batch(
+    batch: Sequence[RatioSeries], p: int, q: int
+) -> list[FitResult | RankDeficiencyError]:
+    """fit_wnls for every series of a batch: one entry per series, the fit or the error it raised.
+
+    Series are grouped by length rounded up to a multiple of _PAD_ROWS and
+    each group is fitted in lockstep, padded with zero-weight rows. The
+    padding depends only on a series' own length, so every fit is a pure
+    function of its series, bit for bit, whatever batch it is fitted in.
+    """
+    if p < 0 or q < 0:
+        raise ValueError("degrees must be nonnegative")
+    k = p + q + 1
+    groups: dict[int, list[int]] = {}
+    for i, series in enumerate(batch):
+        n = len(series)
+        if n < k + 1:
+            raise ValueError(f"need at least {k + 1} points to fit degrees ({p},{q}), got {n}")
+        groups.setdefault(-(-n // _PAD_ROWS) * _PAD_ROWS, []).append(i)
+    fits: dict[int, FitResult | RankDeficiencyError] = {}
+    with np.errstate(all="ignore"):
+        for rows, members in groups.items():
+            fits.update(zip(members, _fit_rows([batch[i] for i in members], p, q, rows)))
+    return [fits[i] for i in range(len(batch))]
 
 
 def fit_wnls(series: RatioSeries, p: int, q: int) -> FitResult:
@@ -362,7 +653,8 @@ def fit_wnls(series: RatioSeries, p: int, q: int) -> FitResult:
     the first pass evaluates them at the observed ratios, later passes at the
     current fitted ratios. The first pass starts from D = 1, the weighted
     polynomial fit of r on j; each later pass from the previous optimum. For
-    q = 0 each pass is a single weighted linear least-squares solve.
+    q = 0 each pass is a single weighted linear least-squares solve. The fit
+    is _fit_batch's for a batch of one.
 
     Requires at least p+q+2 points so at least one residual degree of freedom
     remains. Non-convergence is reported through the converged flag, not an
@@ -370,85 +662,10 @@ def fit_wnls(series: RatioSeries, p: int, q: int) -> FitResult:
     an optimum whose denominator vanishes at j = 0, which has no (beta, alpha)
     form.
     """
-    if p < 0 or q < 0:
-        raise ValueError("degrees must be nonnegative")
-    n = len(series)
-    k = p + q + 1
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} points to fit degrees ({p},{q}), got {n}")
-    j = series.j.astype(float)
-    r = series.ratio
-    inverse_counts = 1.0 / series.count_hi + 1.0 / series.count_lo
-    vn, vd = _design_matrices(j, p, q)
-
-    # first-pass weights: the first-order ratio variance evaluated at the
-    # observed ratios, so the large low-j ratios do not dominate in absolute
-    # terms before the fitted ratios are known.
-    w = 1.0 / (r**2 * inverse_counts)
-
-    d = np.zeros(q + 1)
-    d[0] = 1.0
-    total_iterations = 0
-    converged = False
-    for pass_index in range(REWEIGHT_PASSES):
-        if pass_index:
-            m, _, _ = _model_and_jacobian(c, d, vn, vd)
-            rhat = np.maximum(np.abs(m), _RATIO_FLOOR)
-            w = 1.0 / (rhat**2 * inverse_counts)
-        d, c, iterations, converged = _variable_projection(d, vn, vd, r, w)
-        total_iterations += iterations
-
-    if d[0] < 0.0:
-        c, d = -c, -d
-    m, jac, _ = _model_and_jacobian(c, d, vn, vd)
-    residuals = r - m
-    weighted_sse = float(np.sum(w * residuals**2))
-    dof = n - k
-    if dof > 0:
-        sigma2 = weighted_sse / dof
-    else:
-        sigma2 = weighted_sse
-        warnings.warn("zero residual degrees of freedom; using weighted SSE as variance scale")
-
-    # chart coordinates: c and the q tangent directions of d
-    embed = np.zeros((k + 1, k))
-    embed[: p + 1, : p + 1] = np.eye(p + 1)
-    embed[p + 1 :, p + 1 :] = _tangent_basis(d)
-    jw = np.sqrt(w)[:, None] * (jac @ embed)
-    scale = np.sqrt(np.sum(jw**2, axis=0))
-    scale[scale == 0.0] = 1.0
-    jw /= scale
-    try:
-        chart_cov = sigma2 * np.linalg.inv(jw.T @ jw) / np.outer(scale, scale)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("coefficient covariance is singular") from exc
-    if not np.all(np.isfinite(chart_cov)):
-        raise RankDeficiencyError("coefficient covariance is singular")
-    chart_cov = embed @ chart_cov @ embed.T
-
-    # map (c, d) to (beta, alpha) = (c, d[1:]) / d0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = np.concatenate([c, d[1:]]) / d[0]
-        to_theta = np.zeros((k, k + 1))
-        to_theta[:, p + 1] = -theta / d[0]
-        to_theta[: p + 1, : p + 1] = np.eye(p + 1) / d[0]
-        to_theta[p + 1 :, p + 2 :] = np.eye(q) / d[0]
-        cov = to_theta @ chart_cov @ to_theta.T
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(cov))):
-        raise RankDeficiencyError("fitted denominator vanishes at j = 0")
-    cov = 0.5 * (cov + cov.T)
-    diag = np.arange(k)
-    cov[diag, diag] = np.maximum(cov[diag, diag], 0.0)
-    return FitResult(
-        model=RationalModel.from_vector(theta, p, q),
-        cov=cov,
-        residuals=residuals,
-        converged=converged,
-        iterations=total_iterations,
-        weighted_sse=weighted_sse,
-        weights=w,
-        chart=FittingChart(c, d, chart_cov) if q else None,
-    )
+    result = _fit_batch([series], p, q)[0]
+    if isinstance(result, RankDeficiencyError):
+        raise result
+    return result
 
 
 class DerivedQuantities(NamedTuple):

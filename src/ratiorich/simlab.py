@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._output import to_csv, to_json
-from .estimators import ESTIMATOR_FAILURES, ESTIMATORS
+from .estimators import ESTIMATORS, _estimate_batch
 from .freqtab import FrequencyCountTable, from_abundances
 
 __all__ = [
@@ -53,6 +53,10 @@ __all__ = [
 # making the MAD column directly comparable against reported standard errors.
 MAD_SCALE = 1.4826
 _PMF_TABLE_CAP = 10_000_000
+# Replicates estimated as one batch at most. A batch holds about 20 kB per
+# replicate until it is done; by this size the lockstep fit has no speed
+# left to gain from a larger one.
+_BATCH_REPS = 1024
 
 
 class DegenerateSampleError(ValueError):
@@ -267,32 +271,53 @@ class SimulationReport:
         raise KeyError(name)
 
 
-def _single_replicate(
-    cfg: SimulationConfig, index: int
-) -> dict[str, tuple[bool, float, float, float]]:
-    """One replicate: sample, truncate, inflate, estimate with each estimator.
-
-    Returns {estimator: (ok, C_hat, se, seconds)}; timing covers only the
-    estimator call. Estimation failures are tallied, never raised.
-    """
+def _replicate_table(cfg: SimulationConfig, index: int) -> FrequencyCountTable | None:
+    """One replicate's sampled, truncated and inflated table; None when the sample is degenerate."""
     rng = replicate_rng(cfg.seed, index)
     counts = sample_nb_counts(cfg.C, cfg.size, cfg.prob, rng)
     try:
-        table = truncate_to_observed(counts)
-        table = apply_chimeric_inflation(table, cfg.chimeric_rate)
+        return apply_chimeric_inflation(truncate_to_observed(counts), cfg.chimeric_rate)
     except DegenerateSampleError:
-        return {name: (False, math.nan, math.nan, 0.0) for name in cfg.estimators}
-    out: dict[str, tuple[bool, float, float, float]] = {}
-    for name in cfg.estimators:
-        estimator = ESTIMATORS[name]
-        start = time.perf_counter()
-        try:
-            result = estimator(table)
-            elapsed = time.perf_counter() - start
-            out[name] = (True, result.C_hat, result.se, elapsed)
-        except ESTIMATOR_FAILURES:
-            elapsed = time.perf_counter() - start
-            out[name] = (False, math.nan, math.nan, elapsed)
+        return None
+
+
+def _estimate_tables(
+    name: str, tables: Sequence[FrequencyCountTable]
+) -> list[tuple[bool, float, float, float]]:
+    """(ok, C_hat, se, seconds) per table for one estimator, estimated as one batch.
+
+    seconds is each table's share of the batch's time. Estimation failures
+    are tallied, never raised.
+    """
+    start = time.perf_counter()
+    outcomes = _estimate_batch(name, tables)
+    share = (time.perf_counter() - start) / max(len(tables), 1)
+    return [
+        (False, math.nan, math.nan, share)
+        if isinstance(outcome, Exception)
+        else (True, outcome.C_hat, outcome.se, share)
+        for outcome in outcomes
+    ]
+
+
+def _replicate_block(
+    cfg: SimulationConfig, start: int, stop: int
+) -> list[dict[str, tuple[bool, float, float, float]]]:
+    """Replicates start..stop-1, in batches of at most _BATCH_REPS.
+
+    Each batch draws all its tables, then runs each estimator on all of them.
+    Returns {estimator: (ok, C_hat, se, seconds)} per replicate, in order.
+    """
+    degenerate = (False, math.nan, math.nan, 0.0)
+    out = []
+    for first in range(start, stop, _BATCH_REPS):
+        tables = [_replicate_table(cfg, i) for i in range(first, min(first + _BATCH_REPS, stop))]
+        usable = [table for table in tables if table is not None]
+        columns = {name: iter(_estimate_tables(name, usable)) for name in cfg.estimators}
+        out += [
+            {name: degenerate if table is None else next(columns[name]) for name in cfg.estimators}
+            for table in tables
+        ]
     return out
 
 
@@ -333,20 +358,23 @@ def _aggregate(
 def run_replications(cfg: SimulationConfig, workers: int = 1) -> SimulationReport:
     """Run the sample -> truncate -> inflate -> estimate pipeline cfg.reps times.
 
-    Statistics are computed from the per-replicate results collected in
-    replicate order, so serial and parallel execution produce identical
-    reports (runtime statistics aside, which never enter the default
-    serialization).
+    Each worker takes one contiguous block of replicates, builds its tables
+    and estimates them as one batch per estimator. Statistics are computed
+    from the per-replicate results collected in replicate order, and every
+    estimate is a pure function of its table, so serial and parallel
+    execution produce identical reports (runtime statistics aside, which
+    never enter the default serialization).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    runner = partial(_single_replicate, cfg)
-    if workers == 1:
-        results = [runner(i) for i in range(cfg.reps)]
+    blocks = min(workers, cfg.reps)
+    bounds = [b * cfg.reps // blocks for b in range(blocks + 1)]
+    if blocks == 1:
+        results = _replicate_block(cfg, 0, cfg.reps)
     else:
-        chunk = max(1, cfg.reps // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(runner, range(cfg.reps), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=blocks) as pool:
+            parts = pool.map(partial(_replicate_block, cfg), bounds[:-1], bounds[1:])
+            results = [result for part in parts for result in part]
     stats = tuple(_aggregate(cfg, name, results) for name in cfg.estimators)
     return SimulationReport(config=cfg, stats=stats)
 
@@ -402,11 +430,12 @@ def subsample_curve(
     """Estimator behaviour under multinomial subsampling of the reads.
 
     For each fraction < 1, draws `reps` multinomial subsamples of
-    round(fraction * N) reads (N = total reads), rebuilds the table, and
-    re-estimates; fraction 1.0 evaluates the full sample exactly once. Rows
-    come back fraction-major in the given (ascending) order; a row with no
-    usable subsample is flagged with NaN summaries and a full failure count.
-    The estimators default to every registered one.
+    round(fraction * N) reads (N = total reads), rebuilds their tables, and
+    estimates them as one batch per estimator; fraction 1.0 evaluates the
+    full sample exactly once. Rows come back fraction-major in the given
+    (ascending) order; a row with no usable subsample is flagged with NaN
+    summaries and a full failure count. The estimators default to every
+    registered one.
     """
     counts = np.asarray(abundances, dtype=np.int64)
     if counts.size == 0 or np.any(counts < 1):
@@ -439,18 +468,14 @@ def subsample_curve(
                 draw = rng.multinomial(draw_size, probabilities)
                 kept = draw[draw > 0]
                 tables.append(from_abundances(kept.tolist()) if kept.size else None)
+        usable = [table for table in tables if table is not None]
         for name in estimators:
-            estimator = ESTIMATORS[name]
-            values: list[float] = []
-            failures = 0
-            for tbl in tables:
-                if tbl is None:
-                    failures += 1
-                    continue
-                try:
-                    values.append(estimator(tbl).C_hat)
-                except ESTIMATOR_FAILURES:
-                    failures += 1
+            values = [
+                outcome.C_hat
+                for outcome in _estimate_batch(name, usable)
+                if not isinstance(outcome, Exception)
+            ]
+            failures = len(tables) - len(values)
             if values:
                 arr = np.asarray(values)
                 sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -461,10 +486,11 @@ def subsample_curve(
 
 
 def runtime_report(cfg: SimulationConfig, workers: int = 1) -> dict[str, tuple[float, float, float]]:
-    """Wall-clock seconds inside each estimator call, as (trimmed mean, mean, median).
+    """Wall-clock estimation seconds per table, as (trimmed mean, mean, median).
 
-    Sampling and table construction are excluded; trimming follows the
-    error_stats convention with cfg.trim.
+    A table's seconds are its share of its batch's time (see
+    run_replications). Sampling and table construction are excluded;
+    trimming follows the error_stats convention with cfg.trim.
     """
     report = run_replications(cfg, workers=workers)
     return {

@@ -294,6 +294,63 @@ class TestRejectedBeforeRunning:
         ]
 
 
+class TestNegativePrecision:
+    """--precision < 0 exits 1 with one error line, before any config echo."""
+
+    ERROR = "error: precision must be >= 0, got -1"
+
+    def assert_rejected(self, code, out, err):
+        assert code == 1
+        assert out == ""
+        assert "resolved config" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [self.ERROR]
+
+    def test_estimate(self, capsys, freq_file):
+        argv = ["estimate", "--input", freq_file, "--estimator", "chao1", "--output", "csv"]
+        self.assert_rejected(*run_cli(capsys, argv + ["--precision", "-1"]))
+
+    def test_simulate(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = TestRejectedBeforeRunning.SIMULATE + ["--out", str(out), "--precision", "-1"]
+        self.assert_rejected(*run_cli(capsys, argv))
+        assert not out.exists()
+
+    def test_calibrate_se(self, capsys):
+        argv = TestRejectedBeforeRunning.CALIBRATE + ["--precision", "-1"]
+        self.assert_rejected(*run_cli(capsys, argv))
+
+    def test_rarefy(self, capsys, tmp_path):
+        path = tmp_path / "ab.txt"
+        path.write_text("5\n3\n1\n1\n2\n")
+        argv = ["rarefy", "--input", str(path), "--fractions", "1.0", "--precision", "-1"]
+        self.assert_rejected(*run_cli(capsys, argv))
+
+
+class TestCalibrateValidatedBeforeEcho:
+    def test_nan_rate(self, capsys):
+        code, out, err = run_cli(capsys, TestRejectedBeforeRunning.CALIBRATE + ["--rate", "nan"])
+        assert code == 1
+        assert out == ""
+        assert "resolved config" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: chimeric_rate must be finite"
+        ]
+
+    def test_zero_reps(self, capsys):
+        argv = [
+            "calibrate-se", "--C-list", "200", "--size-list", "500", "--prob-list", "0.99",
+            "--reps", "0", "--seed", "1",
+        ]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "resolved config" not in err
+        assert "warning" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: reps must be >= 1"
+        ]
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

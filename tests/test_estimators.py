@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from ratiorich.estimators import (
+    ESTIMATOR_FAILURES,
+    ESTIMATORS,
     NoAdmissibleModelError,
+    _estimate_batch,
     breakaway,
     breakaway_nof1,
     chao1,
@@ -13,6 +16,7 @@ from ratiorich.estimators import (
 )
 from ratiorich.freqtab import FrequencyCountTable, observed_richness
 from ratiorich.ratiofit import FitResult, RationalModel, build_ratio_series
+from ratiorich.simlab import replicate_rng, sample_nb_counts, truncate_to_observed
 
 from helpers import random_contiguous_table, table
 from test_ratiofit import series_from_points
@@ -91,6 +95,27 @@ class TestSelectModel:
         fit, trace = select_model(s, require_f1=True)
         assert trace.accepted == (1, 0)
         assert fit.model.beta[0] == pytest.approx(1.3, abs=1e-8)
+
+
+class TestEstimateBatch:
+    def test_matches_table_by_table(self):
+        # Table-1 draws plus short and sparse ones, several of which fail
+        populations = [(5000, 500, 0.99)] * 5 + [(3000, 1, 0.7), (40, 2, 0.7), (20000, 10, 0.5)] * 2
+        tables = [
+            truncate_to_observed(sample_nb_counts(C, size, prob, replicate_rng(77, i)))
+            for i, (C, size, prob) in enumerate(populations)
+        ]
+        failed = 0
+        for name in ESTIMATORS:
+            for tbl, got in zip(tables, _estimate_batch(name, tables)):
+                try:
+                    want = ESTIMATORS[name](tbl)
+                except ESTIMATOR_FAILURES as exc:
+                    failed += 1
+                    assert type(got) is type(exc) and str(got) == str(exc)
+                    continue
+                assert got == want
+        assert failed > 0
 
 
 class TestBreakaway:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,11 @@ class TestTableValidation:
 
     def test_get_missing_is_zero(self):
         assert table({2: 5}).get(1) == 0
+
+    def test_lookup_keeps_equality_hash_repr_and_pickling(self):
+        t = table({1: 3, 2: 5, 7: 1})
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t == FrequencyCountTable(((1, 3), (2, 5), (7, 1)))
+        assert hash(copy) == hash(t)
+        assert repr(t) == "FrequencyCountTable(entries=((1, 3), (2, 5), (7, 1)))"
+        assert [copy.get(j) for j in range(9)] == [0, 3, 5, 0, 0, 0, 0, 1, 0]

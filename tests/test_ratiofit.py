@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ratiorich.freqtab import InsufficientDataError
+from ratiorich.estimators import NoAdmissibleModelError, _select_batch, select_model
 from ratiorich.ratiofit import (
+    RankDeficiencyError,
     RationalModel,
     RatioSeries,
     build_ratio_series,
@@ -10,7 +12,7 @@ from ratiorich.ratiofit import (
     eval_model,
     fit_wnls,
 )
-from ratiorich.ratiofit import _design_matrices, _model_and_jacobian
+from ratiorich.ratiofit import _design_matrices, _fit_batch, _model_and_jacobian
 from ratiorich.simlab import replicate_rng, sample_nb_counts, truncate_to_observed
 
 from helpers import (
@@ -153,6 +155,72 @@ class TestFitWnls:
                     atol=1e-9,
                 )
                 assert np.allclose(fit_k.cov, base.cov, rtol=1e-5, atol=1e-12)
+
+
+def _fit_or_error(series, p, q):
+    try:
+        return fit_wnls(series, p, q)
+    except RankDeficiencyError as exc:
+        return exc
+
+
+def assert_same_fit(a, b):
+    """Every FitResult field equal bit for bit, or the same error."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert type(a) is type(b) and str(a) == str(b)
+        return
+    assert np.array_equal(a.model.coefficient_vector(), b.model.coefficient_vector())
+    assert (a.model.p, a.model.q) == (b.model.p, b.model.q)
+    for name in ("cov", "residuals", "converged", "iterations", "weighted_sse", "weights"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.chart is None) == (b.chart is None)
+    if a.chart is not None:
+        for x, y in zip(a.chart, b.chart):
+            assert np.array_equal(x, y)
+
+
+class TestBatchedFit:
+    @staticmethod
+    def mixed_series():
+        """Table-1 series of both kinds, plus short and long-tailed ones: several padded lengths."""
+        out = []
+        populations = [(5000, 500, 0.99)] * 6 + [(3000, 1, 0.7), (20000, 10, 0.5)] * 2
+        for i, (C, size, prob) in enumerate(populations):
+            tbl = truncate_to_observed(sample_nb_counts(C, size, prob, replicate_rng(404, i)))
+            for j_min in (1, 2):
+                try:
+                    out.append(build_ratio_series(tbl, j_min))
+                except ValueError:
+                    pass
+        return out
+
+    @pytest.mark.parametrize("p, q", [(1, 0), (2, 1), (4, 3)])
+    def test_fit_is_bitwise_independent_of_its_batch(self, p, q):
+        series = [s for s in self.mixed_series() if len(s) >= p + q + 2]
+        assert len({-(-len(s) // 8) for s in series}) >= 2
+        for s, in_batch in zip(series, _fit_batch(series, p, q)):
+            assert_same_fit(_fit_or_error(s, p, q), in_batch)
+        # and in the reverse order
+        for s, in_batch in zip(series[::-1], _fit_batch(series[::-1], p, q)):
+            assert_same_fit(_fit_or_error(s, p, q), in_batch)
+
+    @pytest.mark.parametrize("require_f1", [False, True])
+    def test_selection_is_independent_of_its_batch(self, require_f1):
+        series = self.mixed_series()
+        for s, selected in zip(series, _select_batch(series, require_f1)):
+            try:
+                alone = select_model(s, require_f1)
+            except NoAdmissibleModelError as exc:
+                assert isinstance(selected, NoAdmissibleModelError)
+                assert selected.trace.tried == exc.trace.tried
+                continue
+            assert selected[1].tried == alone[1].tried
+            assert_same_fit(alone[0], selected[0])
+
+    def test_batch_needs_enough_points_in_every_series(self):
+        short = series_from_points([(2, 0.4), (3, 0.5), (4, 0.6)])
+        with pytest.raises(ValueError, match="at least"):
+            _fit_batch([self.mixed_series()[0], short], 1, 1)
 
 
 class TestJacobian:

@@ -145,6 +145,18 @@ class TestRunReplications:
         parallel = report_to_csv(run_replications(cfg, workers=2))
         assert serial == parallel
 
+    def test_reports_identical_for_any_worker_count(self):
+        # 11 replicates split unevenly over 2 and 3 contiguous blocks
+        cfg = SimulationConfig(**{**self.CFG, "reps": 11})
+        reports = [report_to_json(run_replications(cfg, workers=w)) for w in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_reports_identical_for_any_batch_split(self, monkeypatch):
+        cfg = SimulationConfig(**{**self.CFG, "reps": 11})
+        whole = report_to_json(run_replications(cfg))
+        monkeypatch.setattr(simlab, "_BATCH_REPS", 4)
+        assert report_to_json(run_replications(cfg)) == whole
+
     def test_nof1_invariant_to_inflation_rate(self):
         # the singleton-free estimator never reads f_1, so its statistics are
         # identical across chimeric rates on the same seed
@@ -288,6 +300,42 @@ class TestSubsampleCurve:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="fractions"):
             subsample_curve(self.VECTOR, [0.0, 0.5], reps=2, rng=rng)
+
+
+def _counting_stub(calls):
+    def stub(table):
+        calls.append(table)
+        return RichnessEstimate("nof1", 1.0, 0.0, 1.0, 0.0, None, [])
+
+    return stub
+
+
+class TestStubbedEstimatorsPerTable:
+    """A registry entry that is not the package's own is called once per table."""
+
+    def test_run_replications(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(ESTIMATORS, "nof1", _counting_stub(calls))
+        cfg = SimulationConfig(
+            C=100, size=500, prob=0.99, reps=7, seed=6, estimators=("nof1", "breakaway")
+        )
+        report = run_replications(cfg)
+        expected = [
+            truncate_to_observed(sample_nb_counts(100, 500, 0.99, replicate_rng(6, i)))
+            for i in range(7)
+        ]
+        assert calls == expected
+        assert report.for_estimator("nof1").failures == 0
+
+    def test_subsample_curve(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(ESTIMATORS, "nof1", _counting_stub(calls))
+        rng = np.random.default_rng(1)
+        rows = subsample_curve(
+            TestSubsampleCurve.VECTOR, [0.5, 1.0], reps=4, rng=rng, estimators=("nof1", "chao1")
+        )
+        assert len(calls) == 4 + 1
+        assert [row.failures for row in rows] == [0, 0, 0, 0]
 
 
 class TestRuntimeReport:
