@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import secrets
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__, simlab
 from ._output import to_csv, to_json
-from .estimators import ESTIMATOR_FAILURES, ESTIMATORS
+from .estimators import ESTIMATORS, _estimate_batch
 from .freqtab import (
     from_abundances,
     parse_abundance_vector,
@@ -123,12 +124,8 @@ def cmd_estimate(args) -> int:
     _echo_config(cfg)
     names = list(ESTIMATORS) if args.estimator == "all" else [args.estimator]
     results = []
-    for name in names:
-        est, error = None, None
-        try:
-            est = ESTIMATORS[name](table)
-        except ESTIMATOR_FAILURES as exc:
-            error = str(exc)
+    for name, (outcome,) in _estimate_batch(names, [table]).items():
+        est, error = (None, str(outcome)) if isinstance(outcome, Exception) else (outcome, None)
         model = getattr(est, "model", None)
         results.append(
             {
@@ -406,9 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
+    """build_parser's parser, built again only when the registry's names change."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(ESTIMATORS)).parse_args(argv)
     return args.func(args)
 
 

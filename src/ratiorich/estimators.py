@@ -25,13 +25,14 @@ fitted coefficients' covariance.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import fdtri
 
 from . import ratiofit as _ratiofit
 from .freqtab import FrequencyCountTable, InsufficientDataError, observed_richness
@@ -100,7 +101,8 @@ class NoAdmissibleModelError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _f_critical(dfn: int, dfd: int) -> float:
-    return float(_scipy_stats.f.ppf(1.0 - GROWTH_ALPHA, dfn, dfd))
+    # the F(dfn, dfd) quantile; scipy.stats.f.ppf computes the same fdtri
+    return float(fdtri(dfn, dfd, 1.0 - GROWTH_ALPHA))
 
 
 def _denominator_values(model: RationalModel, grid: np.ndarray) -> np.ndarray:
@@ -192,16 +194,19 @@ def _choose(
 
 def _select_batch(
     batch: Sequence[RatioSeries],
-    require_f1: bool,
+    require_f1: bool | Sequence[bool],
     fit: Callable[[list[RatioSeries], int, int], list] = _fit_batch,
 ) -> list[tuple[FitResult, SelectionTrace] | NoAdmissibleModelError]:
     """select_model for every series of a batch, in order.
 
     Each ladder rung is fitted once, by fit(series, p, q), for all the series
     with enough points for it; admissibility, the F walk and the trace are
-    each series' own. A series with no admissible rung gets the
-    NoAdmissibleModelError that select_model raises.
+    each series' own. require_f1 is one flag for the whole batch or one per
+    series. A series with no admissible rung gets the NoAdmissibleModelError
+    that select_model raises.
     """
+    if isinstance(require_f1, bool):
+        require_f1 = [require_f1] * len(batch)
     attempts: list[list[tuple[int, int, str | None]]] = [[] for _ in batch]
     admissible: list[list[tuple[int, FitResult]]] = [[] for _ in batch]
     with np.errstate(all="ignore"):
@@ -210,7 +215,7 @@ def _select_batch(
             fits = dict(zip(eligible, fit([batch[i] for i in eligible], p, q) if eligible else []))
             for i, series in enumerate(batch):
                 if i in fits:
-                    outcome = _rejection(fits[i], series, require_f1)
+                    outcome = _rejection(fits[i], series, require_f1[i])
                 else:
                     outcome = "insufficient-dof"
                 if outcome is None:
@@ -475,25 +480,52 @@ def _attempt(fn: Callable, *args):
 
 
 def _estimate_batch(
-    name: str, tables: Sequence[FrequencyCountTable]
-) -> list[RichnessEstimate | Exception]:
-    """Registry estimator `name` on every table: its estimate, or the failure it raised.
+    names: str | Sequence[str],
+    tables: Sequence[FrequencyCountTable],
+    seconds: dict[str, float] | None = None,
+) -> dict[str, list[RichnessEstimate | Exception]] | list[RichnessEstimate | Exception]:
+    """Registry estimators `names` on every table: {name: its estimate or failure per table}.
 
-    The package's fitted estimators build every table's ratio series, select
-    all the models together (_select_batch) and finish each table alone: the
-    same estimates as calling them table by table. Any other registry entry,
-    such as a stub or a wrapper, is called once per table. Failures outside
-    ESTIMATOR_FAILURES propagate.
+    For one name given as a str, the list alone. The package's fitted
+    estimators build every table's ratio series, select all of their models
+    together (one _select_batch over every estimator's series, each with its
+    own require_f1) and finish each table alone with their own estimate
+    step: the same estimates as calling them table by table. Any other
+    registry entry, such as a stub or a wrapper, is called once per table.
+    Failures outside ESTIMATOR_FAILURES propagate.
+
+    seconds, when given, receives each name's wall-clock seconds: its own
+    series and estimate steps (or its calls, table by table), plus a share
+    of the joint selection in proportion to the series it contributed.
     """
-    estimator = ESTIMATORS[name]
-    if estimator not in _BATCH_FORMS:
-        return [_attempt(estimator, table) for table in tables]
-    prepare, require_f1, finish = _BATCH_FORMS[estimator]
-    out = [_attempt(prepare, table) for table in tables]
-    ready = [i for i, series in enumerate(out) if isinstance(series, RatioSeries)]
-    for i, selected in zip(ready, _select_batch([out[i] for i in ready], require_f1)):
-        if isinstance(selected, NoAdmissibleModelError):
-            out[i] = selected
+    if isinstance(names, str):
+        return _estimate_batch((names,), tables, seconds)[names]
+    forms = {name: _BATCH_FORMS.get(ESTIMATORS[name]) for name in names}
+    clock: dict[str, float] = {}
+    out: dict[str, list] = {}
+    joint: list[tuple[str, int]] = []  # (name, table index) of every series to select for
+    for name, form in forms.items():
+        start = time.perf_counter()
+        if form is None:
+            out[name] = [_attempt(ESTIMATORS[name], table) for table in tables]
         else:
-            out[i] = _attempt(finish, tables[i], selected[0])
+            out[name] = [_attempt(form[0], table) for table in tables]
+            joint += [
+                (name, i) for i, series in enumerate(out[name]) if isinstance(series, RatioSeries)
+            ]
+        clock[name] = time.perf_counter() - start
+    start = time.perf_counter()
+    selected = _select_batch(
+        [out[name][i] for name, i in joint], [forms[name][1] for name, _ in joint]
+    )
+    shared = (time.perf_counter() - start) / max(len(joint), 1)
+    for (name, i), outcome in zip(joint, selected):
+        start = time.perf_counter()
+        if isinstance(outcome, NoAdmissibleModelError):
+            out[name][i] = outcome
+        else:
+            out[name][i] = _attempt(forms[name][2], tables[i], outcome[0])
+        clock[name] += time.perf_counter() - start + shared
+    if seconds is not None:
+        seconds.update(clock)
     return out

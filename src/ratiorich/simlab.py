@@ -10,7 +10,6 @@ are kept out of the serialized report unless explicitly requested.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -282,22 +281,27 @@ def _replicate_table(cfg: SimulationConfig, index: int) -> FrequencyCountTable |
 
 
 def _estimate_tables(
-    name: str, tables: Sequence[FrequencyCountTable]
-) -> list[tuple[bool, float, float, float]]:
-    """(ok, C_hat, se, seconds) per table for one estimator, estimated as one batch.
+    names: Sequence[str], tables: Sequence[FrequencyCountTable]
+) -> dict[str, list[tuple[bool, float, float, float]]]:
+    """{estimator: (ok, C_hat, se, seconds) per table}, every estimator estimated in one batch.
 
-    seconds is each table's share of the batch's time. Estimation failures
-    are tallied, never raised.
+    seconds is each table's share of its estimator's time in the batch: the
+    estimator's own steps (its ratio series and estimates, or its calls for
+    an entry estimated table by table) plus a share of the joint model
+    selection in proportion to the series it contributed. Estimation
+    failures are tallied, never raised.
     """
-    start = time.perf_counter()
-    outcomes = _estimate_batch(name, tables)
-    share = (time.perf_counter() - start) / max(len(tables), 1)
-    return [
-        (False, math.nan, math.nan, share)
-        if isinstance(outcome, Exception)
-        else (True, outcome.C_hat, outcome.se, share)
-        for outcome in outcomes
-    ]
+    seconds: dict[str, float] = {}
+    rows = {}
+    for name, outcomes in _estimate_batch(names, tables, seconds).items():
+        share = seconds[name] / max(len(tables), 1)
+        rows[name] = [
+            (False, math.nan, math.nan, share)
+            if isinstance(outcome, Exception)
+            else (True, outcome.C_hat, outcome.se, share)
+            for outcome in outcomes
+        ]
+    return rows
 
 
 def _replicate_block(
@@ -305,15 +309,18 @@ def _replicate_block(
 ) -> list[dict[str, tuple[bool, float, float, float]]]:
     """Replicates start..stop-1, in batches of at most _BATCH_REPS.
 
-    Each batch draws all its tables, then runs each estimator on all of them.
-    Returns {estimator: (ok, C_hat, se, seconds)} per replicate, in order.
+    Each batch draws all its tables, then runs every estimator on all of them
+    as one batch. Returns {estimator: (ok, C_hat, se, seconds)} per
+    replicate, in order.
     """
     degenerate = (False, math.nan, math.nan, 0.0)
     out = []
     for first in range(start, stop, _BATCH_REPS):
         tables = [_replicate_table(cfg, i) for i in range(first, min(first + _BATCH_REPS, stop))]
         usable = [table for table in tables if table is not None]
-        columns = {name: iter(_estimate_tables(name, usable)) for name in cfg.estimators}
+        columns = {
+            name: iter(column) for name, column in _estimate_tables(cfg.estimators, usable).items()
+        }
         out += [
             {name: degenerate if table is None else next(columns[name]) for name in cfg.estimators}
             for table in tables
@@ -359,7 +366,7 @@ def run_replications(cfg: SimulationConfig, workers: int = 1) -> SimulationRepor
     """Run the sample -> truncate -> inflate -> estimate pipeline cfg.reps times.
 
     Each worker takes one contiguous block of replicates, builds its tables
-    and estimates them as one batch per estimator. Statistics are computed
+    and estimates them with every estimator as one batch. Statistics are computed
     from the per-replicate results collected in replicate order, and every
     estimate is a pure function of its table, so serial and parallel
     execution produce identical reports (runtime statistics aside, which
@@ -431,7 +438,7 @@ def subsample_curve(
 
     For each fraction < 1, draws `reps` multinomial subsamples of
     round(fraction * N) reads (N = total reads), rebuilds their tables, and
-    estimates them as one batch per estimator; fraction 1.0 evaluates the
+    estimates them with every estimator as one batch; fraction 1.0 evaluates the
     full sample exactly once. Rows come back fraction-major in the given
     (ascending) order; a row with no usable subsample is flagged with NaN
     summaries and a full failure count. The estimators default to every
@@ -469,11 +476,10 @@ def subsample_curve(
                 kept = draw[draw > 0]
                 tables.append(from_abundances(kept.tolist()) if kept.size else None)
         usable = [table for table in tables if table is not None]
+        outcomes = _estimate_batch(estimators, usable)
         for name in estimators:
             values = [
-                outcome.C_hat
-                for outcome in _estimate_batch(name, usable)
-                if not isinstance(outcome, Exception)
+                outcome.C_hat for outcome in outcomes[name] if not isinstance(outcome, Exception)
             ]
             failures = len(tables) - len(values)
             if values:
@@ -488,9 +494,12 @@ def subsample_curve(
 def runtime_report(cfg: SimulationConfig, workers: int = 1) -> dict[str, tuple[float, float, float]]:
     """Wall-clock estimation seconds per table, as (trimmed mean, mean, median).
 
-    A table's seconds are its share of its batch's time (see
-    run_replications). Sampling and table construction are excluded;
-    trimming follows the error_stats convention with cfg.trim.
+    A table's seconds are its share of its estimator's time in its batch:
+    the estimator's own steps (ratio series and estimates, or its calls for
+    an entry estimated table by table) plus a share of the model selection
+    all fitted estimators run together, in proportion to the series each
+    contributed. Sampling and table construction are excluded; trimming
+    follows the error_stats convention with cfg.trim.
     """
     report = run_replications(cfg, workers=workers)
     return {

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ratiorich.cli import main
+from ratiorich.estimators import ESTIMATORS, chao1
 
 
 GEOMETRIC_FREQ = "2,64\n3,32\n4,16\n5,8\n6,4\n"
@@ -357,3 +358,23 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "ratiorich" in capsys.readouterr().out
+
+
+class TestParserReadsRegistry:
+    def test_estimator_registered_after_a_first_call_is_accepted(
+        self, capsys, monkeypatch, freq_file
+    ):
+        code, _, _ = run_cli(capsys, ["estimate", "--input", freq_file, "--estimator", "chao1"])
+        assert code == 0
+        monkeypatch.setitem(ESTIMATORS, "chao1-again", chao1)
+        code, out, _ = run_cli(
+            capsys, ["estimate", "--input", freq_file, "--estimator", "chao1-again"]
+        )
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert result["estimator"] == "chao1-again"
+        monkeypatch.delitem(ESTIMATORS, "chao1-again")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["estimate", "--input", freq_file, "--estimator", "chao1-again"])
+        assert excinfo.value.code == 1
+        assert "invalid choice" in capsys.readouterr().err

@@ -1,13 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import ratiorich
+from ratiorich import estimators
 from ratiorich.estimators import (
     ESTIMATOR_FAILURES,
     ESTIMATORS,
+    GROWTH_ALPHA,
     NoAdmissibleModelError,
+    RichnessEstimate,
     _estimate_batch,
+    _f_critical,
     breakaway,
     breakaway_nof1,
     chao1,
@@ -116,6 +127,121 @@ class TestEstimateBatch:
                     continue
                 assert got == want
         assert failed > 0
+
+
+def mixed_tables() -> list[FrequencyCountTable]:
+    """Table-1 draws, short and sparse draws, and a table without singletons."""
+    populations = [(5000, 500, 0.99)] * 4 + [(3000, 1, 0.7), (40, 2, 0.7), (20000, 10, 0.5)] * 2
+    draws = [
+        truncate_to_observed(sample_nb_counts(C, size, prob, replicate_rng(77, i)))
+        for i, (C, size, prob) in enumerate(populations)
+    ]
+    return draws + [table({2: 60, 3: 41, 4: 30, 5: 19, 6: 14, 7: 9, 8: 6})]
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert (got.C_hat, got.se, got.model, got.warnings) == (
+            want.C_hat, want.se, want.model, want.warnings,
+        )
+        assert got == want
+
+
+class TestJointBatch:
+    """Every fitted estimator of a batch selects its models in one joint batch."""
+
+    def test_matches_each_estimator_table_by_table(self):
+        tables = mixed_tables()
+        joint = _estimate_batch(tuple(ESTIMATORS), tables)
+        assert list(joint) == list(ESTIMATORS)
+        for name in ESTIMATORS:
+            for tbl, got in zip(tables, joint[name], strict=True):
+                try:
+                    want = ESTIMATORS[name](tbl)
+                except ESTIMATOR_FAILURES as exc:
+                    want = exc
+                assert_same_outcome(got, want)
+        outcomes = [o for column in joint.values() for o in column]
+        assert any(isinstance(o, NoAdmissibleModelError) for o in outcomes)
+        assert any(type(o) is ValueError for o in outcomes)
+
+    def test_estimator_order_changes_no_outcome(self):
+        tables = mixed_tables()
+        forward = _estimate_batch(("nof1", "breakaway"), tables)
+        backward = _estimate_batch(("breakaway", "nof1"), tables)
+        for name in ("nof1", "breakaway"):
+            for got, want in zip(backward[name], forward[name], strict=True):
+                assert_same_outcome(got, want)
+
+    def test_stub_called_per_table_while_breakaway_batches(self, monkeypatch):
+        tables = mixed_tables()
+        alone = _estimate_batch("breakaway", tables)
+        calls, batch_sizes = [], []
+
+        def stub(tbl):
+            calls.append(tbl)
+            return RichnessEstimate("nof1", 1.0, 0.0, 1.0, 0.0, None, [])
+
+        select = estimators._select_batch
+
+        def spy(batch, require_f1):
+            batch_sizes.append(len(batch))
+            assert require_f1 == [False] * len(batch)
+            return select(batch, require_f1)
+
+        monkeypatch.setitem(ESTIMATORS, "nof1", stub)
+        monkeypatch.setattr(estimators, "_select_batch", spy)
+        joint = _estimate_batch(("nof1", "breakaway"), tables)
+        assert calls == tables
+        assert all(o.C_hat == 1.0 for o in joint["nof1"])
+        # one selection over every table with a breakaway ratio series
+        with_series = 0
+        for tbl in tables:
+            try:
+                estimators._breakaway_series(tbl)
+                with_series += 1
+            except ESTIMATOR_FAILURES:
+                pass
+        assert batch_sizes == [with_series] and with_series < len(tables)
+        for got, want in zip(joint["breakaway"], alone, strict=True):
+            assert_same_outcome(got, want)
+
+    def test_selection_time_split_by_series_contributed(self, monkeypatch):
+        # the last table has no singletons, so breakaway contributes one
+        # series fewer than nof1 to the joint selection
+        tables = [mixed_tables()[0], mixed_tables()[-1]]
+        select = estimators._select_batch
+
+        def slow(batch, require_f1):
+            time.sleep(0.3)
+            return select(batch, require_f1)
+
+        monkeypatch.setattr(estimators, "_select_batch", slow)
+        seconds: dict[str, float] = {}
+        start = time.perf_counter()
+        _estimate_batch(("nof1", "breakaway", "chao1"), tables, seconds)
+        elapsed = time.perf_counter() - start
+        assert list(seconds) == ["nof1", "breakaway", "chao1"]
+        assert seconds["nof1"] >= 0.2 and 0.1 <= seconds["breakaway"] < seconds["nof1"]
+        assert 0.0 <= seconds["chao1"] < 0.1
+        assert sum(seconds.values()) <= elapsed
+
+
+class TestFCritical:
+    def test_equals_scipy_stats_quantile(self):
+        for dfn in range(1, 9):
+            for dfd in (*range(1, 60), 100, 257, 1000, 2999):
+                assert _f_critical(dfn, dfd) == float(stats.f.ppf(1.0 - GROWTH_ALPHA, dfn, dfd))
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, ratiorich, ratiorich.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(ratiorich.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestBreakaway:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -190,6 +191,26 @@ class TestRunReplications:
         for rate in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 SimulationConfig(C=5, size=5, prob=0.5, chimeric_rate=rate)
+
+
+class TestJointBatch:
+    """All estimators of a block select their models together, with unchanged reports."""
+
+    CFG = dict(C=300, size=500, prob=0.99, chimeric_rate=100.0, reps=11, seed=98)
+
+    def test_joint_report_equals_one_estimator_at_a_time(self):
+        joint = json.loads(report_to_json(run_replications(SimulationConfig(**self.CFG))))
+        for name in ESTIMATORS:
+            cfg = SimulationConfig(**self.CFG, estimators=(name,))
+            alone = json.loads(report_to_json(run_replications(cfg)))
+            assert joint["estimators"][name] == alone["estimators"][name]
+
+    def test_reversed_estimator_order_identical_at_any_worker_count(self):
+        forward = json.loads(report_to_json(run_replications(SimulationConfig(**self.CFG))))
+        cfg = SimulationConfig(**self.CFG, estimators=("chao1", "breakaway", "nof1"))
+        reports = [report_to_json(run_replications(cfg, workers=w)) for w in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0])["estimators"] == forward["estimators"]
 
 
 class TestReportSerialization:
