@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, simlab
 from ._output import to_csv, to_json
-from .estimators import ESTIMATORS, _estimate_batch
+from .estimators import ESTIMATORS, _check_names, _estimate_batch
 from .freqtab import (
     from_abundances,
     parse_abundance_vector,
@@ -82,9 +82,7 @@ def _check_precision(precision: int) -> None:
 
 def _parse_estimator_list(text: str) -> tuple[str, ...]:
     names = tuple(x.strip() for x in text.split(",") if x.strip())
-    unknown = [n for n in names if n not in ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown estimators: {unknown}")
+    _check_names(names)
     if not names:
         raise ValueError("no estimators requested")
     return names

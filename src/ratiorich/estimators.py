@@ -462,6 +462,18 @@ ESTIMATORS = {
     "breakaway": breakaway,
     "chao1": chao1,
 }
+
+
+def _check_names(names: Sequence[str]) -> None:
+    """Raise ValueError for a name missing from the registry, then for a name given twice."""
+    unknown = [name for name in names if name not in ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimators: {unknown}")
+    repeated = list(dict.fromkeys(name for name in names if names.count(name) > 1))
+    if repeated:
+        raise ValueError(f"duplicate estimators: {repeated}")
+
+
 # What an estimator raises on data it cannot handle: tallied as a failure.
 ESTIMATOR_FAILURES = (NoAdmissibleModelError, InsufficientDataError, ValueError)
 # The fitted estimators' steps around model selection: the table's ratio
@@ -480,26 +492,23 @@ def _attempt(fn: Callable, *args):
 
 
 def _estimate_batch(
-    names: str | Sequence[str],
+    names: Sequence[str],
     tables: Sequence[FrequencyCountTable],
     seconds: dict[str, float] | None = None,
-) -> dict[str, list[RichnessEstimate | Exception]] | list[RichnessEstimate | Exception]:
+) -> dict[str, list[RichnessEstimate | Exception]]:
     """Registry estimators `names` on every table: {name: its estimate or failure per table}.
 
-    For one name given as a str, the list alone. The package's fitted
-    estimators build every table's ratio series, select all of their models
-    together (one _select_batch over every estimator's series, each with its
-    own require_f1) and finish each table alone with their own estimate
-    step: the same estimates as calling them table by table. Any other
-    registry entry, such as a stub or a wrapper, is called once per table.
-    Failures outside ESTIMATOR_FAILURES propagate.
+    The package's fitted estimators build every table's ratio series, select
+    all of their models together (one _select_batch over every estimator's
+    series, each with its own require_f1) and finish each table alone with
+    their own estimate step: the same estimates as calling them table by
+    table. Any other registry entry, such as a stub or a wrapper, is called
+    once per table. Failures outside ESTIMATOR_FAILURES propagate.
 
     seconds, when given, receives each name's wall-clock seconds: its own
     series and estimate steps (or its calls, table by table), plus a share
     of the joint selection in proportion to the series it contributed.
     """
-    if isinstance(names, str):
-        return _estimate_batch((names,), tables, seconds)[names]
     forms = {name: _BATCH_FORMS.get(ESTIMATORS[name]) for name in names}
     clock: dict[str, float] = {}
     out: dict[str, list] = {}

@@ -21,7 +21,9 @@ One kernel fits a whole batch of series of one rung in lockstep: arrays are
 stacked as (batch, points, coef), each series is padded with zero-weight
 rows to a length set by its own point count, and each gets LAPACK calls of
 its own, so a fit is a pure function of its series, bit for bit, whatever
-batch it is fitted in. fit_wnls is the kernel's batch of one.
+batch it is fitted in. Stopped series stay frozen in the kernel's arrays
+until at most half still step, when the arrays are compacted; whole-array
+fast paths stay for fit_wnls, the batch of one of every estimate call.
 
 Results are reported as RationalModel (beta, alpha) = (c / d0, d[1:] / d0),
 the form with D(0) = 1. The chart covariance is sigma^2 (Jw' Jw)^-1, with Jw
@@ -267,7 +269,8 @@ def _eye(size: int, shift: int = 0) -> np.ndarray:
 class _Projection(NamedTuple):
     """The weighted linear subproblems of a batch at one denominator each.
 
-    Arrays are stacked over the series; den is D(j) as (batch, 1, points).
+    Arrays are stacked over the series; den is D(j) at the denominators d, as
+    (batch, 1, points).
     qr[i].T and tau[i] are LAPACK's compact QR of the augmented weighted
     design [A | sqrt(w) r] of series i, stored transposed so that LAPACK
     factors it in place: its top k rows hold R and Q' sqrt(w) r, and its
@@ -275,6 +278,7 @@ class _Projection(NamedTuple):
     explicit Q. sse is inf where D vanishes on the data.
     """
 
+    d: np.ndarray
     den: np.ndarray
     qr: np.ndarray
     tau: np.ndarray
@@ -306,15 +310,13 @@ def _project(
     qr[:, k] = swr
     finite = np.isfinite(qr).all(axis=(1, 2))
     tau = np.empty((len(d), k + 1))
-    rows = finite.nonzero()[0]
-    for i in rows:
+    for i in finite.nonzero()[0]:
         factored, tau[i], _, _ = _lapack.dgeqrf(qr[i].T, overwrite_a=True)
         if not np.may_share_memory(factored, qr):  # LAPACK was handed a copy
             qr[i] = factored.T
     sse = qr[:, k, k] ** 2
-    if rows.size < len(d):
-        sse[~finite] = np.inf
-    return _Projection(den, qr, tau, sse)
+    sse[~finite] = np.inf
+    return _Projection(d, den, qr, tau, sse)
 
 
 def _numerators(at: _Projection) -> np.ndarray:
@@ -327,9 +329,9 @@ def _numerators(at: _Projection) -> np.ndarray:
 
 
 def _newton_system(
-    d: np.ndarray, at: _Projection, vd: np.ndarray, swr: np.ndarray
+    at: _Projection, vd: np.ndarray, swr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tangent bases T, Hessians, damping matrices and gradients at d.
+    """Tangent bases T, Hessians, damping matrices and gradients at d = at.d.
 
     The objective is half the projected SSE as a function of u, the move
     d + T u in the plane tangent to d. With K = dresid/du at fixed c and
@@ -344,7 +346,7 @@ def _newton_system(
     for i, (qr, tau) in enumerate(zip(at.qr, at.tau)):
         qaug[i] = _lapack.dorgqr(qr.T, tau)[0]
     resid = qaug[:, :, k:] * at.qr[:, k : k + 1, k : k + 1]
-    basis = _tangent_basis(d)
+    basis = _tangent_basis(at.d)
     nq = basis.shape[2]
     vd_u = np.matmul(vd, basis) / at.den.transpose(0, 2, 1)
     k_u = (swr - resid) * vd_u
@@ -377,86 +379,70 @@ def _variable_projection(
     Arrays are (batch, points, coef), with zero weights on padding rows. The
     batch moves in lockstep, one step per series per round: the linear
     algebra runs on the stacked arrays, the per-series decisions on lists.
-    Each series keeps its own damping and stretches and leaves the batch when
-    it stops. Returns per series the final d, c, iterations and converged
-    flag, and a singular flag for a series whose damped system could not be
-    solved or whose start has D vanishing on the data (its other entries are
-    then meaningless).
+    Each series keeps its own damping and stretches. A series that stops is
+    recorded and frozen: a zero step, never accepted. The held arrays drop
+    the frozen rows once at most half still step, the only way out of them.
+    A round where any row moved rebuilds every held row's Newton system,
+    the same bits at an unchanged d. Whole-array fast paths, for a round
+    where every held row improves or stretches, serve the batch of one that
+    each estimate call fits. Returns per series the final d, c, iterations
+    and converged flag, and a singular flag for a series whose damped system
+    could not be solved or whose start has D vanishing on the data (its
+    other entries are then meaningless).
     """
     sw = np.sqrt(w)
     swr = sw * r
     swvn_t = (sw[:, :, None] * vn).transpose(0, 2, 1).copy()
     vd_t = vd.transpose(0, 2, 1).copy()
-    at = _project(d, swvn_t, vd_t, swr)
+    at = _project(d.copy(), swvn_t, vd_t, swr)
     size, kd = d.shape
     singular = np.isinf(at.sse)
     if kd == 1:
         return d, _numerators(at), np.zeros(size, dtype=int), ~singular, singular
-    d_out, c_out = d.copy(), np.empty((size, vn.shape[2]))
+    d_out, c_out = np.empty_like(d), np.empty((size, vn.shape[2]))
     iterations = np.zeros(size, dtype=int)
     converged = np.zeros(size, dtype=bool)
-    # the series still stepping; every array below holds exactly these, in order
-    live = (~singular).nonzero()[0]
-    if live.size < size:
-        d, at, swvn_t, vd_t, vd, swr = (
-            d[live], at.take(live), swvn_t[live], vd_t[live], vd[live], swr[live]
-        )
-    else:
-        d = d.copy()
-    lam = [INITIAL_DAMPING] * live.size
-    refresh = list(range(live.size))  # the series whose Newton system is out of date
+    held = np.arange(size)  # the series in the arrays below, in order
+    stepping = (~singular).nonzero()[0].tolist()  # their positions that still step
+    lam = [INITIAL_DAMPING] * size
+    moved = True
     for it in range(1, MAX_ITERATIONS + 1):
-        count = live.size
-        if not count:
-            break
-        if len(refresh) == count:
-            basis, hess, damp, grad = _newton_system(d, at, vd, swr[:, :, None])
-        elif refresh:
-            fresh = _newton_system(
-                d[refresh], at.take(refresh), vd[refresh], swr[refresh][:, :, None]
-            )
-            for old, new in zip((basis, hess, damp, grad), fresh):
-                old[refresh] = new
+        if moved:
+            basis, hess, damp, grad = _newton_system(at, vd, swr[:, :, None])
         # delta solves (hess + lam damp) delta = grad; the Newton step is -delta
         lhs = hess + np.array(lam)[:, None, None] * damp
-        delta = np.empty_like(grad)
-        bad = set()
-        for i in range(count):
+        delta = np.zeros_like(grad)
+        for i in stepping:
             _, _, delta[i], info = _lapack.dgesv(lhs[i], grad[i])
             if info:
-                bad.add(i)
+                delta[i] = np.nan  # its trial SSE is inf, and the series stops
         sq = np.add.reduce(delta * delta, axis=1)
         step = sq.tolist()
-        bad.update(i for i, value in enumerate(step) if not math.isfinite(value))
-        if bad:
-            delta[list(bad)] = 0.0
-            sq[list(bad)] = 0.0
         move = np.matmul(basis, delta[:, :, None])[:, :, 0]
-        trial = (d - move) / np.sqrt(1.0 + sq)[:, None]
-        at_trial = _project(trial, swvn_t, vd_t, swr)
+        at_trial = _project((at.d - move) / np.sqrt(1.0 + sq)[:, None], swvn_t, vd_t, swr)
         before, after = at.sse.tolist(), at_trial.sse.tolist()
-        far = [i for i in range(count) if before[i] - after[i] > _EXTRAPOLATE_ABOVE * before[i]]
+        far = [i for i in stepping if before[i] - after[i] > _EXTRAPOLATE_ABOVE * before[i]]
         for stretch in (2.0, 4.0, 8.0):
             if not far:
                 break
-            rows = far if len(far) < count else slice(None)
-            point = (d[rows] - stretch * move[rows]) / np.sqrt(1.0 + stretch**2 * sq[rows])[:, None]
+            rows = far if len(far) < len(held) else slice(None)
+            point = (at.d[rows] - stretch * move[rows]) / np.sqrt(1.0 + stretch**2 * sq[rows, None])
             at_point = _project(point, swvn_t[rows], vd_t[rows], swr[rows])
             reached = at_point.sse.tolist()
             gain = [g for g, i in enumerate(far) if reached[g] < after[i]]
             far = [far[g] for g in gain]
-            if len(far) == count:
-                trial, at_trial = point, at_point
+            if len(far) == len(held):
+                at_trial = at_point
             elif far:
-                trial[far] = point[gain]
                 at_trial.put(far, at_point.take(gain))
             for g, i in zip(gain, far):
                 after[i] = reached[g]
 
-        refresh, stop, done = [], [], []
-        for i in range(count):
+        moved, going = [], []
+        for i in stepping:
+            bad = not math.isfinite(step[i])
             if after[i] < before[i]:
-                refresh.append(i)
+                moved.append(i)
                 lam[i] = max(lam[i] / _DAMPING_GROWTH, _DAMPING_MIN)
                 rel_drop = (before[i] - after[i]) / max(before[i], 1e-300)
                 finished = rel_drop < SSE_REL_TOL or step[i] < STEP_TOL**2
@@ -465,31 +451,25 @@ def _variable_projection(
                 # cannot improve and the proposed step is negligible: stalled
                 # at the optimum
                 finished = step[i] < STEP_TOL**2
-            if finished or lam[i] > _DAMPING_MAX or i in bad or it == MAX_ITERATIONS:
-                stop.append(i)
-                done.append(finished and i not in bad)
-        if len(refresh) == count:
-            d, at = trial, at_trial
-        elif refresh:
-            d[refresh] = trial[refresh]
-            at.put(refresh, at_trial.take(refresh))
-        if stop:
-            every = slice(None) if len(stop) == count else stop
-            rows = live[every]
-            iterations[rows] = it
-            converged[rows] = done
-            singular[rows] = [i in bad for i in stop]
-            d_out[rows] = d[every]
-            c_out[rows] = _numerators(at.take(every))
-            if len(stop) == count:
+            if finished or lam[i] > _DAMPING_MAX or bad or it == MAX_ITERATIONS:
+                iterations[held[i]] = it
+                converged[held[i]] = finished
+                singular[held[i]] = bad
+            else:
+                going.append(i)
+        stepping = going
+        if len(moved) == len(held):
+            at = at_trial
+        elif moved:
+            at.put(moved, at_trial.take(moved))
+        if 2 * len(stepping) <= len(held):
+            d_out[held], c_out[held] = at.d, _numerators(at)
+            if not stepping:
                 break
-            halted = set(stop)
-            keep = [i for i in range(count) if i not in halted]
-            position = {i: k for k, i in enumerate(keep)}
-            refresh = [position[i] for i in refresh if i in position]
-            live, d, at, lam = live[keep], d[keep], at.take(keep), [lam[i] for i in keep]
-            swvn_t, vd_t, vd, swr = swvn_t[keep], vd_t[keep], vd[keep], swr[keep]
-            basis, hess, damp, grad = basis[keep], hess[keep], damp[keep], grad[keep]
+            held, at = held[stepping], at.take(stepping)
+            swvn_t, vd_t, vd, swr = swvn_t[stepping], vd_t[stepping], vd[stepping], swr[stepping]
+            lam = [lam[i] for i in stepping]
+            stepping, moved = list(range(len(held))), True
     return d_out, c_out, iterations, converged, singular
 
 
@@ -603,12 +583,10 @@ def _fit_rows(
             m = np.matmul(vn, c[:, :, None]) / np.matmul(vd, d[:, :, None])
             w = 1.0 / (np.maximum(np.abs(m[:, :, 0]), _RATIO_FLOOR) ** 2 * inverse_counts)
         d, c, steps, converged, singular = _variable_projection(d, vn, vd, r, w)
-        iterations += steps
-        if singular.nonzero()[0].size:
-            keep = (~singular).nonzero()[0]
-            alive, d, c, converged, w = alive[keep], d[keep], c[keep], converged[keep], w[keep]
-            vn, vd, r, inverse_counts = vn[keep], vd[keep], r[keep], inverse_counts[keep]
-            iterations = iterations[keep]
+        keep = ~singular
+        alive, d, c, converged, w = alive[keep], d[keep], c[keep], converged[keep], w[keep]
+        vn, vd, r, inverse_counts = vn[keep], vd[keep], r[keep], inverse_counts[keep]
+        iterations = iterations[keep] + steps[keep]
     fits = _fit_results(
         [batch[i] for i in alive], p, q, (c, d, w, vn, vd, r), iterations, converged
     )

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._output import to_csv, to_json
-from .estimators import ESTIMATORS, _estimate_batch
+from .estimators import ESTIMATORS, _check_names, _estimate_batch
 from .freqtab import FrequencyCountTable, from_abundances
 
 __all__ = [
@@ -103,9 +103,7 @@ class SimulationConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
             raise ValueError("at least one estimator is required")
-        unknown = [name for name in self.estimators if name not in ESTIMATORS]
-        if unknown:
-            raise ValueError(f"unknown estimators: {unknown}")
+        _check_names(self.estimators)
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -458,9 +456,7 @@ def subsample_curve(
         raise ValueError("reps must be >= 1")
     if estimators is None:
         estimators = tuple(ESTIMATORS)
-    unknown = [name for name in estimators if name not in ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown estimators: {unknown}")
+    _check_names(estimators)
 
     total = int(counts.sum())
     probabilities = counts / total
@@ -501,10 +497,9 @@ def runtime_report(cfg: SimulationConfig, workers: int = 1) -> dict[str, tuple[f
     contributed. Sampling and table construction are excluded; trimming
     follows the error_stats convention with cfg.trim.
     """
-    report = run_replications(cfg, workers=workers)
     return {
         entry.estimator: (entry.runtime_tmean, entry.runtime_mean, entry.runtime_median)
-        for entry in report.stats
+        for entry in run_replications(cfg, workers=workers).stats
     }
 
 

@@ -294,6 +294,23 @@ class TestRejectedBeforeRunning:
             "error: workers must be >= 1"
         ]
 
+    def test_simulate_repeated_estimator_exit_1_before_echo(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = self.SIMULATE + ["--estimators", "chao1,chao1", "--out", str(out)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == "error: duplicate estimators: ['chao1']\n"
+        assert not out.exists()
+
+    def test_rarefy_repeated_estimator_exit_1_before_echo(self, capsys, tmp_path):
+        path = tmp_path / "ab.txt"
+        path.write_text("5\n3\n1\n1\n2\n")
+        argv = ["rarefy", "--input", str(path), "--fractions", "1.0", "--estimators", "nof1,nof1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: duplicate estimators: ['nof1']\n"
+
 
 class TestNegativePrecision:
     """--precision < 0 exits 1 with one error line, before any config echo."""

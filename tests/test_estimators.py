@@ -118,7 +118,7 @@ class TestEstimateBatch:
         ]
         failed = 0
         for name in ESTIMATORS:
-            for tbl, got in zip(tables, _estimate_batch(name, tables)):
+            for tbl, got in zip(tables, _estimate_batch((name,), tables)[name]):
                 try:
                     want = ESTIMATORS[name](tbl)
                 except ESTIMATOR_FAILURES as exc:
@@ -177,7 +177,7 @@ class TestJointBatch:
 
     def test_stub_called_per_table_while_breakaway_batches(self, monkeypatch):
         tables = mixed_tables()
-        alone = _estimate_batch("breakaway", tables)
+        alone = _estimate_batch(("breakaway",), tables)["breakaway"]
         calls, batch_sizes = [], []
 
         def stub(tbl):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratiorich.freqtab import InsufficientDataError
 from ratiorich.estimators import NoAdmissibleModelError, _select_batch, select_model
@@ -221,6 +223,51 @@ class TestBatchedFit:
         short = series_from_points([(2, 0.4), (3, 0.5), (4, 0.6)])
         with pytest.raises(ValueError, match="at least"):
             _fit_batch([self.mixed_series()[0], short], 1, 1)
+
+
+def _pool():
+    """Table-1 and long-tailed series of both kinds, each long enough for rung (4,3)."""
+    out = []
+    populations = [(5000, 500, 0.99)] * 12 + [(3000, 1, 0.7), (20000, 10, 0.5)] * 3
+    for i, (C, size, prob) in enumerate(populations):
+        tbl = truncate_to_observed(sample_nb_counts(C, size, prob, replicate_rng(606, i)))
+        for j_min in (1, 2):
+            try:
+                series = build_ratio_series(tbl, j_min)
+            except ValueError:
+                continue
+            if len(series) >= 9:
+                out.append(series)
+    return out
+
+
+_POOL = _pool()
+_PROPERTY_RUNGS = ((2, 1), (4, 3))
+
+
+@pytest.fixture(scope="module")
+def alone_fits():
+    return {(p, q): [_fit_or_error(s, p, q) for s in _POOL] for p, q in _PROPERTY_RUNGS}
+
+
+class TestBatchIndependenceProperty:
+    """Any draw from a fixed pool, in any order and with repeats, fits as each series alone.
+
+    Batches of several series hold series that stopped early frozen beside the
+    ones still stepping, before and after the held arrays are compacted.
+    """
+
+    def test_pool_is_large_and_mixed(self):
+        assert len(_POOL) >= 24
+        assert len({-(-len(s) // 8) for s in _POOL}) >= 2
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(draw=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=20))
+    def test_any_batch_fits_each_series_as_alone(self, alone_fits, draw):
+        for p, q in _PROPERTY_RUNGS:
+            fits = _fit_batch([_POOL[i] for i in draw], p, q)
+            for i, fit in zip(draw, fits, strict=True):
+                assert_same_fit(alone_fits[p, q][i], fit)
 
 
 class TestJacobian:

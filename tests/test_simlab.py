@@ -186,6 +186,8 @@ class TestRunReplications:
             SimulationConfig(C=5, size=5, prob=0.5, trim=0.5)
         with pytest.raises(ValueError):
             SimulationConfig(C=5, size=5, prob=0.5, estimators=("bogus",))
+        with pytest.raises(ValueError, match=r"duplicate estimators: \['chao1'\]"):
+            SimulationConfig(C=5, size=5, prob=0.5, estimators=("chao1", "nof1", "chao1"))
         with pytest.raises(ValueError):
             SimulationConfig(C=5, size=5, prob=0.5, seed=-1)
         for rate in (math.nan, math.inf, -math.inf):
@@ -321,6 +323,11 @@ class TestSubsampleCurve:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="fractions"):
             subsample_curve(self.VECTOR, [0.0, 0.5], reps=2, rng=rng)
+
+    def test_repeated_estimator_rejected(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match=r"duplicate estimators: \['nof1'\]"):
+            subsample_curve(self.VECTOR, [1.0], reps=2, rng=rng, estimators=("nof1", "nof1"))
 
 
 def _counting_stub(calls):
