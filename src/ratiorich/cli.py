@@ -83,8 +83,6 @@ def _check_precision(precision: int) -> None:
 def _parse_estimator_list(text: str) -> tuple[str, ...]:
     names = tuple(x.strip() for x in text.split(",") if x.strip())
     _check_names(names)
-    if not names:
-        raise ValueError("no estimators requested")
     return names
 
 

@@ -465,7 +465,9 @@ ESTIMATORS = {
 
 
 def _check_names(names: Sequence[str]) -> None:
-    """Raise ValueError for a name missing from the registry, then for a name given twice."""
+    """Raise ValueError for no names, a name missing from the registry or a name given twice."""
+    if not names:
+        raise ValueError("at least one estimator is required")
     unknown = [name for name in names if name not in ESTIMATORS]
     if unknown:
         raise ValueError(f"unknown estimators: {unknown}")

@@ -101,8 +101,6 @@ class SimulationConfig:
         if not (0.0 <= self.trim < 0.5):
             raise ValueError("trim must lie in [0, 0.5)")
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if not self.estimators:
-            raise ValueError("at least one estimator is required")
         _check_names(self.estimators)
 
 

@@ -311,6 +311,14 @@ class TestRejectedBeforeRunning:
         assert out == ""
         assert err == "error: duplicate estimators: ['nof1']\n"
 
+    def test_simulate_no_estimator_exit_1_before_echo(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = self.SIMULATE + ["--estimators", ",", "--out", str(out)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == "error: at least one estimator is required\n"
+        assert not out.exists()
+
 
 class TestNegativePrecision:
     """--precision < 0 exits 1 with one error line, before any config echo."""

@@ -188,6 +188,8 @@ class TestRunReplications:
             SimulationConfig(C=5, size=5, prob=0.5, estimators=("bogus",))
         with pytest.raises(ValueError, match=r"duplicate estimators: \['chao1'\]"):
             SimulationConfig(C=5, size=5, prob=0.5, estimators=("chao1", "nof1", "chao1"))
+        with pytest.raises(ValueError, match="at least one estimator is required"):
+            SimulationConfig(C=5, size=5, prob=0.5, estimators=())
         with pytest.raises(ValueError):
             SimulationConfig(C=5, size=5, prob=0.5, seed=-1)
         for rate in (math.nan, math.inf, -math.inf):
@@ -328,6 +330,11 @@ class TestSubsampleCurve:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match=r"duplicate estimators: \['nof1'\]"):
             subsample_curve(self.VECTOR, [1.0], reps=2, rng=rng, estimators=("nof1", "nof1"))
+
+    def test_no_estimator_rejected(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="at least one estimator is required"):
+            subsample_curve(self.VECTOR, [1.0], reps=2, rng=rng, estimators=())
 
 
 def _counting_stub(calls):
