@@ -111,11 +111,6 @@ def _denominator_values(model: RationalModel, grid: np.ndarray) -> np.ndarray:
     )
 
 
-def _is_perfect(fit: FitResult, series: RatioSeries) -> bool:
-    energy = float(np.sum(fit.weights * series.ratio**2))
-    return fit.weighted_sse <= _PERFECT_FIT_REL * energy
-
-
 def _fit_each(
     batch: Sequence[RatioSeries], p: int, q: int
 ) -> list[FitResult | RankDeficiencyError]:
@@ -147,81 +142,75 @@ def _rejection(
     return None
 
 
-def _choose(
-    series: RatioSeries,
-    attempts: list[tuple[int, int, str | None]],
-    admissible: list[tuple[int, FitResult]],
-) -> tuple[FitResult, SelectionTrace] | NoAdmissibleModelError:
-    """The nested-F walk over one series' admissible rungs, in ladder order.
+# One ladder rung of one series: (p, q, fit, outcome). outcome is None while
+# the rung is admissible; fit is None when the series is too short for it.
+_Rung = tuple[int, int, FitResult | RankDeficiencyError | None, str | None]
 
-    attempts holds every rung's (p, q, outcome), with None for the admissible
-    ones; admissible pairs each admissible fit with its index in attempts.
+
+def _significant(current: FitResult, candidate: FitResult, series: RatioSeries) -> bool:
+    """Whether a larger admissible rung's fit replaces the current choice: the nested F test.
+
+    Never when the current fit is perfect (its weighted SSE at most
+    _PERFECT_FIT_REL of the weighted response energy) or when the candidate
+    leaves no residual degree of freedom. A candidate that does not lower the
+    SSE has F <= 0, and a NaN SSE gives a NaN F: neither replaces the choice.
     """
-    n = len(series)
-    trace = SelectionTrace()
-    if not admissible:
-        trace.tried = [(p, q, outcome) for p, q, outcome in attempts]  # type: ignore[misc]
-        return NoAdmissibleModelError("no admissible model on the ladder", trace)
+    energy = float(np.sum(current.weights * series.ratio**2))
+    dfn = candidate.model.n_coef - current.model.n_coef
+    dfd = len(series) - candidate.model.n_coef
+    if current.weighted_sse <= _PERFECT_FIT_REL * energy or dfd < 1:
+        return False
+    improvement = current.weighted_sse - candidate.weighted_sse
+    f_stat = (improvement / dfn) / max(candidate.weighted_sse / dfd, 1e-300)
+    return f_stat > _f_critical(dfn, dfd)
 
-    labels: dict[int, str] = {}
-    current = 0
-    for candidate in range(1, len(admissible)):
-        cur_fit = admissible[current][1]
-        new_fit = admissible[candidate][1]
-        if _is_perfect(cur_fit, series):
-            labels[candidate] = "not-selected"
-            continue
-        dfn = new_fit.model.n_coef - cur_fit.model.n_coef
-        dfd = n - new_fit.model.n_coef
-        improvement = cur_fit.weighted_sse - new_fit.weighted_sse
-        significant = False
-        if dfd >= 1 and improvement > 0.0:
-            f_stat = (improvement / dfn) / max(new_fit.weighted_sse / dfd, 1e-300)
-            significant = f_stat > _f_critical(dfn, dfd)
-        if significant:
-            labels[current] = "superseded"
-            current = candidate
-        else:
-            labels[candidate] = "not-selected"
-    labels[current] = "accepted"
 
-    for rank, (attempt_index, _) in enumerate(admissible):
-        p, q, _ = attempts[attempt_index]
-        attempts[attempt_index] = (p, q, labels[rank])
-    trace.tried = [(p, q, outcome) for p, q, outcome in attempts]  # type: ignore[misc]
-    return admissible[current][1], trace
+def _choose(
+    series: RatioSeries, rungs: list[_Rung]
+) -> tuple[FitResult, SelectionTrace] | NoAdmissibleModelError:
+    """The nested-F walk over one series' rungs, in ladder order.
+
+    The first admissible rung is the choice, and a later one replaces it when
+    _significant says so: every replaced choice is superseded, the last one
+    accepted, and every other admissible rung not-selected.
+    """
+    tried: list[tuple[int, int, str]] = []
+    choice, at = None, 0
+    for p, q, fit, outcome in rungs:
+        if outcome is None and (choice is None or _significant(choice, fit, series)):
+            # relabelled accepted below if no later rung replaces it
+            choice, at, outcome = fit, len(tried), "superseded"
+        tried.append((p, q, outcome or "not-selected"))
+    if choice is None:
+        return NoAdmissibleModelError("no admissible model on the ladder", SelectionTrace(tried))
+    p, q, _ = tried[at]
+    tried[at] = (p, q, "accepted")
+    return choice, SelectionTrace(tried)
 
 
 def _select_batch(
     batch: Sequence[RatioSeries],
-    require_f1: bool | Sequence[bool],
+    require_f1: Sequence[bool],
     fit: Callable[[list[RatioSeries], int, int], list] = _fit_batch,
 ) -> list[tuple[FitResult, SelectionTrace] | NoAdmissibleModelError]:
     """select_model for every series of a batch, in order.
 
     Each ladder rung is fitted once, by fit(series, p, q), for all the series
     with enough points for it; admissibility, the F walk and the trace are
-    each series' own. require_f1 is one flag for the whole batch or one per
-    series. A series with no admissible rung gets the NoAdmissibleModelError
-    that select_model raises.
+    each series' own. require_f1 holds one flag per series. A series with no
+    admissible rung gets the NoAdmissibleModelError that select_model raises.
     """
-    if isinstance(require_f1, bool):
-        require_f1 = [require_f1] * len(batch)
-    attempts: list[list[tuple[int, int, str | None]]] = [[] for _ in batch]
-    admissible: list[list[tuple[int, FitResult]]] = [[] for _ in batch]
+    rungs: list[list[_Rung]] = [[] for _ in batch]
     with np.errstate(all="ignore"):
         for p, q in LADDER:
             eligible = [i for i, series in enumerate(batch) if len(series) >= p + q + 2]
             fits = dict(zip(eligible, fit([batch[i] for i in eligible], p, q) if eligible else []))
             for i, series in enumerate(batch):
+                outcome = "insufficient-dof"
                 if i in fits:
                     outcome = _rejection(fits[i], series, require_f1[i])
-                else:
-                    outcome = "insufficient-dof"
-                if outcome is None:
-                    admissible[i].append((len(attempts[i]), fits[i]))
-                attempts[i].append((p, q, outcome))
-    return [_choose(*args) for args in zip(batch, attempts, admissible)]
+                rungs[i].append((p, q, fits.get(i), outcome))
+    return [_choose(*args) for args in zip(batch, rungs)]
 
 
 def select_model(
@@ -240,7 +229,7 @@ def select_model(
     is a selection guide rather than exact inference. This is _select_batch
     for a batch of one, fitting each rung through fit_wnls.
     """
-    outcome = _select_batch([series], require_f1, _fit_each)[0]
+    outcome = _select_batch([series], [require_f1], _fit_each)[0]
     if isinstance(outcome, NoAdmissibleModelError):
         raise outcome
     return outcome
@@ -271,7 +260,7 @@ def _count_at_least(table: FrequencyCountTable, j_min: int) -> int:
 def _breakaway_series(table: FrequencyCountTable) -> RatioSeries:
     f1 = table.get(1)
     if f1 == 0:
-        raise ValueError(
+        raise InsufficientDataError(
             "table has no singleton entry (f_1); use breakaway_nof1, which predicts it"
         )
     return build_ratio_series(table, 1)
@@ -337,7 +326,9 @@ def _breakaway_standard_error(fit: FitResult, f1: int, c: int, f0_hat: float) ->
 
 def _nof1_series(table: FrequencyCountTable) -> RatioSeries:
     if table.get(2) == 0:
-        raise ValueError("table has no doubleton entry (f_2); cannot predict singletons")
+        raise InsufficientDataError(
+            "table has no doubleton entry (f_2); cannot predict singletons"
+        )
     return build_ratio_series(table, 2)
 
 
@@ -476,8 +467,9 @@ def _check_names(names: Sequence[str]) -> None:
         raise ValueError(f"duplicate estimators: {repeated}")
 
 
-# What an estimator raises on data it cannot handle: tallied as a failure.
-ESTIMATOR_FAILURES = (NoAdmissibleModelError, InsufficientDataError, ValueError)
+# What an estimator raises on data it cannot handle: tallied as a failure. Any
+# other exception, a plain ValueError included, is a fault and propagates.
+ESTIMATOR_FAILURES = (NoAdmissibleModelError, InsufficientDataError)
 # The fitted estimators' steps around model selection: the table's ratio
 # series, require_f1, and the estimate from the selected fit.
 _BATCH_FORMS = {
@@ -509,7 +501,9 @@ def _estimate_batch(
 
     seconds, when given, receives each name's wall-clock seconds: its own
     series and estimate steps (or its calls, table by table), plus a share
-    of the joint selection in proportion to the series it contributed.
+    of the joint selection in proportion to the series it contributed. This
+    is the package's one runtime-share rule: the simulation lab gives each
+    table an even share of its estimator's seconds in the batch.
     """
     forms = {name: _BATCH_FORMS.get(ESTIMATORS[name]) for name in names}
     clock: dict[str, float] = {}

@@ -276,63 +276,40 @@ def _replicate_table(cfg: SimulationConfig, index: int) -> FrequencyCountTable |
         return None
 
 
-def _estimate_tables(
-    names: Sequence[str], tables: Sequence[FrequencyCountTable]
-) -> dict[str, list[tuple[bool, float, float, float]]]:
-    """{estimator: (ok, C_hat, se, seconds) per table}, every estimator estimated in one batch.
-
-    seconds is each table's share of its estimator's time in the batch: the
-    estimator's own steps (its ratio series and estimates, or its calls for
-    an entry estimated table by table) plus a share of the joint model
-    selection in proportion to the series it contributed. Estimation
-    failures are tallied, never raised.
-    """
-    seconds: dict[str, float] = {}
-    rows = {}
-    for name, outcomes in _estimate_batch(names, tables, seconds).items():
-        share = seconds[name] / max(len(tables), 1)
-        rows[name] = [
-            (False, math.nan, math.nan, share)
-            if isinstance(outcome, Exception)
-            else (True, outcome.C_hat, outcome.se, share)
-            for outcome in outcomes
-        ]
-    return rows
-
-
 def _replicate_block(
     cfg: SimulationConfig, start: int, stop: int
-) -> list[dict[str, tuple[bool, float, float, float]]]:
-    """Replicates start..stop-1, in batches of at most _BATCH_REPS.
+) -> dict[str, list[tuple[bool, float, float, float]]]:
+    """Replicates start..stop-1 as {estimator: (ok, C_hat, se, seconds) per replicate}.
 
-    Each batch draws all its tables, then runs every estimator on all of them
-    as one batch. Returns {estimator: (ok, C_hat, se, seconds)} per
-    replicate, in order.
+    Each batch of at most _BATCH_REPS replicates draws all its tables, then
+    runs every estimator on the usable ones as one _estimate_batch, whose
+    docstring says what a table's seconds cover. A batch's usable tables come
+    in replicate order, then a failure with no seconds for each degenerate
+    sample. Estimation failures are tallied, never raised.
     """
-    degenerate = (False, math.nan, math.nan, 0.0)
-    out = []
+    columns: dict[str, list] = {name: [] for name in cfg.estimators}
     for first in range(start, stop, _BATCH_REPS):
         tables = [_replicate_table(cfg, i) for i in range(first, min(first + _BATCH_REPS, stop))]
         usable = [table for table in tables if table is not None]
-        columns = {
-            name: iter(column) for name, column in _estimate_tables(cfg.estimators, usable).items()
-        }
-        out += [
-            {name: degenerate if table is None else next(columns[name]) for name in cfg.estimators}
-            for table in tables
-        ]
-    return out
+        seconds: dict[str, float] = {}
+        for name, outcomes in _estimate_batch(cfg.estimators, usable, seconds).items():
+            share = seconds[name] / max(len(usable), 1)
+            columns[name] += [
+                (False, math.nan, math.nan, share)
+                if isinstance(outcome, Exception)
+                else (True, outcome.C_hat, outcome.se, share)
+                for outcome in outcomes
+            ]
+            columns[name] += [(False, math.nan, math.nan, 0.0)] * (len(tables) - len(usable))
+    return columns
 
 
 def _aggregate(
-    cfg: SimulationConfig,
-    name: str,
-    results: list[dict[str, tuple[bool, float, float, float]]],
+    cfg: SimulationConfig, name: str, column: list[tuple[bool, float, float, float]]
 ) -> EstimatorStats:
-    rows = [res[name] for res in results]
-    chats = np.array([c for ok, c, _, _ in rows if ok])
-    ses = np.array([s for ok, _, s, _ in rows if ok])
-    times = np.array([t for ok, _, _, t in rows if ok])
+    chats = np.array([c for ok, c, _, _ in column if ok])
+    ses = np.array([s for ok, _, s, _ in column if ok])
+    times = np.array([t for ok, _, _, t in column if ok])
     failures = cfg.reps - chats.size
     if chats.size:
         errors = error_stats(chats, float(cfg.C), cfg.trim)
@@ -362,23 +339,26 @@ def run_replications(cfg: SimulationConfig, workers: int = 1) -> SimulationRepor
     """Run the sample -> truncate -> inflate -> estimate pipeline cfg.reps times.
 
     Each worker takes one contiguous block of replicates, builds its tables
-    and estimates them with every estimator as one batch. Statistics are computed
-    from the per-replicate results collected in replicate order, and every
-    estimate is a pure function of its table, so serial and parallel
-    execution produce identical reports (runtime statistics aside, which
-    never enter the default serialization).
+    and estimates them with every estimator as one batch. An estimator's
+    statistics come from its blocks' columns joined in block order, so its
+    estimates arrive in replicate order, and every estimate is a pure
+    function of its table: serial and parallel execution produce identical
+    reports (runtime statistics aside, which never enter the default
+    serialization).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     blocks = min(workers, cfg.reps)
     bounds = [b * cfg.reps // blocks for b in range(blocks + 1)]
     if blocks == 1:
-        results = _replicate_block(cfg, 0, cfg.reps)
+        parts = [_replicate_block(cfg, 0, cfg.reps)]
     else:
         with ProcessPoolExecutor(max_workers=blocks) as pool:
-            parts = pool.map(partial(_replicate_block, cfg), bounds[:-1], bounds[1:])
-            results = [result for part in parts for result in part]
-    stats = tuple(_aggregate(cfg, name, results) for name in cfg.estimators)
+            parts = list(pool.map(partial(_replicate_block, cfg), bounds[:-1], bounds[1:]))
+    stats = tuple(
+        _aggregate(cfg, name, [row for part in parts for row in part[name]])
+        for name in cfg.estimators
+    )
     return SimulationReport(config=cfg, stats=stats)
 
 
@@ -488,12 +468,9 @@ def subsample_curve(
 def runtime_report(cfg: SimulationConfig, workers: int = 1) -> dict[str, tuple[float, float, float]]:
     """Wall-clock estimation seconds per table, as (trimmed mean, mean, median).
 
-    A table's seconds are its share of its estimator's time in its batch:
-    the estimator's own steps (ratio series and estimates, or its calls for
-    an entry estimated table by table) plus a share of the model selection
-    all fitted estimators run together, in proportion to the series each
-    contributed. Sampling and table construction are excluded; trimming
-    follows the error_stats convention with cfg.trim.
+    A table's seconds are its even share of its estimator's seconds in its
+    batch, as _estimate_batch measures them; sampling and table construction
+    are excluded. Trimming follows the error_stats convention with cfg.trim.
     """
     return {
         entry.estimator: (entry.runtime_tmean, entry.runtime_mean, entry.runtime_median)

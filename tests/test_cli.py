@@ -76,6 +76,18 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_breakaway_without_singletons_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text(GEOMETRIC_FREQ)
+        code, out, _ = run_cli(
+            capsys, ["estimate", "--input", str(path), "--estimator", "breakaway"]
+        )
+        assert code == 2
+        (result,) = json.loads(out)["results"]
+        assert result["error"] == (
+            "table has no singleton entry (f_1); use breakaway_nof1, which predicts it"
+        )
+
     def test_abundance_format(self, capsys, tmp_path):
         path = tmp_path / "ab.txt"
         path.write_text("".join("1\n" * 10 + "2\n" * 5 + "3\n" * 2))

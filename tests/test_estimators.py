@@ -15,6 +15,7 @@ from ratiorich.estimators import (
     ESTIMATOR_FAILURES,
     ESTIMATORS,
     GROWTH_ALPHA,
+    LADDER,
     NoAdmissibleModelError,
     RichnessEstimate,
     _estimate_batch,
@@ -25,9 +26,15 @@ from ratiorich.estimators import (
     nof1_standard_error,
     select_model,
 )
-from ratiorich.freqtab import FrequencyCountTable, observed_richness
-from ratiorich.ratiofit import FitResult, RationalModel, build_ratio_series
-from ratiorich.simlab import replicate_rng, sample_nb_counts, truncate_to_observed
+from ratiorich.freqtab import FrequencyCountTable, InsufficientDataError, observed_richness
+from ratiorich.ratiofit import FitResult, RankDeficiencyError, RationalModel, build_ratio_series
+from ratiorich.simlab import (
+    SimulationConfig,
+    replicate_rng,
+    run_replications,
+    sample_nb_counts,
+    truncate_to_observed,
+)
 
 from helpers import random_contiguous_table, table
 from test_ratiofit import series_from_points
@@ -108,6 +115,108 @@ class TestSelectModel:
         assert fit.model.beta[0] == pytest.approx(1.3, abs=1e-8)
 
 
+def walk_fit(sse, p, q, beta=None, alpha=None, converged=True, points=12):
+    """A hand-built fit of rung (p, q), or of the given coefficients, with a chosen weighted SSE."""
+    model = RationalModel(beta or (0.5,) + (0.0,) * p, alpha or (0.0,) * q)
+    k = model.n_coef
+    return FitResult(
+        model=model,
+        cov=np.zeros((k, k)),
+        residuals=np.zeros(points),
+        converged=converged,
+        iterations=1,
+        weighted_sse=sse,
+        weights=np.ones(points),
+    )
+
+
+SINGULAR = RankDeficiencyError("singular system")
+# Each case: series length, the stub's fit per rung (an SSE for a plain
+# admissible fit), and the expected outcome per rung.
+F_WALK_CASES = {
+    "each larger rung supersedes": (
+        12, {(1, 0): 10.0, (2, 1): 1.0, (3, 2): 0.1, (4, 3): 0.01},
+        ["superseded", "superseded", "superseded", "accepted"],
+    ),
+    "perfect fit at (1,0) stops the walk": (
+        12, {(1, 0): 1e-13, (2, 1): 0.0, (3, 2): 0.0, (4, 3): 0.0},
+        ["accepted", "not-selected", "not-selected", "not-selected"],
+    ),
+    "no improvement in the SSE": (
+        12, {(1, 0): 1.0, (2, 1): 1.0, (3, 2): 2.0, (4, 3): 1.0},
+        ["accepted", "not-selected", "not-selected", "not-selected"],
+    ),
+    # on 40 points a worse (2,1) would pass the F test if its sign were lost
+    "a worse SSE never replaces the choice": (
+        40, {(1, 0): 1.0, (2, 1): 100.0, (3, 2): 1.0, (4, 3): 1.0},
+        ["accepted", "not-selected", "not-selected", "not-selected"],
+    ),
+    # (3,2) is significant against (1,0) but not against (2,1)
+    "an insignificant rung is skipped, and the next is tested against the choice": (
+        12, {(1, 0): 10.0, (2, 1): 5.0, (3, 2): 2.0, (4, 3): 2.0},
+        ["superseded", "not-selected", "accepted", "not-selected"],
+    ),
+    "inadmissible rungs keep their reasons": (
+        12,
+        {(1, 0): 10.0, (2, 1): walk_fit(0.5, 2, 1, beta=(-0.5, 0.0, 0.0)), (3, 2): 0.1,
+         (4, 3): SINGULAR},
+        ["superseded", "negative-f0", "accepted", "no-convergence"],
+    ),
+    # the ladder fits a rung only with a residual degree of freedom left, so
+    # only a fit with more coefficients than its rung meets the dfd guard
+    "no residual degree of freedom": (
+        9,
+        {(1, 0): 10.0, (2, 1): 1.0, (3, 2): 0.5, (4, 3): walk_fit(0.0, 4, 4, points=9)},
+        ["superseded", "accepted", "not-selected", "not-selected"],
+    ),
+}
+
+
+def walk_series(points):
+    return series_from_points([(j, 0.5) for j in range(2, 2 + points)])
+
+
+def stub_fit(rungs):
+    def fit(batch, p, q):
+        assert all(len(series) >= p + q + 2 for series in batch)
+        return [rungs[p, q]] * len(batch)
+
+    return fit
+
+
+class TestFWalk:
+    """The nested F walk through _select_batch, on hand-built fits."""
+
+    @pytest.mark.parametrize("case", list(F_WALK_CASES))
+    def test_outcomes(self, case):
+        points, given, want = F_WALK_CASES[case]
+        rungs = {
+            (p, q): walk_fit(f, p, q, points=points) if isinstance(f, float) else f
+            for (p, q), f in given.items()
+        }
+        (selected,) = estimators._select_batch([walk_series(points)], [False], stub_fit(rungs))
+        fit, trace = selected
+        assert trace.tried == [(p, q, outcome) for (p, q), outcome in zip(LADDER, want)]
+        assert fit is rungs[trace.accepted]
+
+    def test_no_admissible_rung_carries_the_full_trace(self):
+        rungs = {
+            (1, 0): walk_fit(1.0, 1, 0, beta=(0.5, -1.0), points=7),
+            (2, 1): walk_fit(1.0, 2, 1, alpha=(-1.0,), points=7),
+            (3, 2): walk_fit(1.0, 3, 2, converged=False, points=7),
+        }
+        (selected,) = estimators._select_batch([walk_series(7)], [True], stub_fit(rungs))
+        assert isinstance(selected, NoAdmissibleModelError)
+        assert str(selected) == "no admissible model on the ladder"
+        assert selected.trace.tried == [
+            (1, 0, "negative-f1"),
+            (2, 1, "denominator-violation"),
+            (3, 2, "no-convergence"),
+            (4, 3, "insufficient-dof"),
+        ]
+        assert selected.trace.accepted is None
+
+
 class TestEstimateBatch:
     def test_matches_table_by_table(self):
         # Table-1 draws plus short and sparse ones, several of which fail
@@ -149,6 +258,19 @@ def assert_same_outcome(got, want):
         assert got == want
 
 
+class TestTypedFailures:
+    def test_plain_value_error_is_a_fault_not_a_failure(self, monkeypatch):
+        def broken(tbl):
+            raise ValueError("a bug, not a property of the table")
+
+        monkeypatch.setitem(ESTIMATORS, "chao1", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            _estimate_batch(("nof1", "chao1"), mixed_tables())
+        cfg = SimulationConfig(C=300, size=500, prob=0.99, reps=3, estimators=("chao1",))
+        with pytest.raises(ValueError, match="a bug"):
+            run_replications(cfg)
+
+
 class TestJointBatch:
     """Every fitted estimator of a batch selects its models in one joint batch."""
 
@@ -165,7 +287,8 @@ class TestJointBatch:
                 assert_same_outcome(got, want)
         outcomes = [o for column in joint.values() for o in column]
         assert any(isinstance(o, NoAdmissibleModelError) for o in outcomes)
-        assert any(type(o) is ValueError for o in outcomes)
+        # the last table has no singletons
+        assert type(joint["breakaway"][-1]) is InsufficientDataError
 
     def test_estimator_order_changes_no_outcome(self):
         tables = mixed_tables()
@@ -265,8 +388,11 @@ class TestBreakaway:
         assert est.se == pytest.approx(16.0, abs=1e-6)
 
     def test_missing_singletons_rejected_with_hint(self):
-        with pytest.raises(ValueError, match="breakaway_nof1"):
+        with pytest.raises(InsufficientDataError) as excinfo:
             breakaway(table({2: 64, 3: 32, 4: 16, 5: 8}))
+        assert str(excinfo.value) == (
+            "table has no singleton entry (f_1); use breakaway_nof1, which predicts it"
+        )
 
     def test_scaling_table_scales_prediction(self):
         t = table({1: 128, 2: 64, 3: 32, 4: 16, 5: 8})
@@ -292,8 +418,11 @@ class TestBreakawayNof1:
         assert spiked.se == pytest.approx(base.se, abs=1e-12)
 
     def test_missing_doubletons_rejected(self):
-        with pytest.raises(ValueError, match="f_2"):
+        with pytest.raises(InsufficientDataError) as excinfo:
             breakaway_nof1(table({1: 10, 3: 2, 4: 1, 5: 1, 6: 1}))
+        assert str(excinfo.value) == (
+            "table has no doubleton entry (f_2); cannot predict singletons"
+        )
 
     def test_singleton_invariance_randomized(self):
         rng = np.random.default_rng(31)

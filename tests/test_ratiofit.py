@@ -209,7 +209,7 @@ class TestBatchedFit:
     @pytest.mark.parametrize("require_f1", [False, True])
     def test_selection_is_independent_of_its_batch(self, require_f1):
         series = self.mixed_series()
-        for s, selected in zip(series, _select_batch(series, require_f1)):
+        for s, selected in zip(series, _select_batch(series, [require_f1] * len(series))):
             try:
                 alone = select_model(s, require_f1)
             except NoAdmissibleModelError as exc:
