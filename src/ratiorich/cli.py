@@ -1,8 +1,10 @@
 """Command-line interface: estimation, simulation, SE calibration, rarefaction.
 
 Exit codes are a stable contract: 0 success, 1 input/config error, 2 when
-every requested estimator failed. Every run echoes its resolved configuration
-(seed included) to stderr so it can be replayed exactly.
+every requested estimator failed. Every run goes validate, echo, run: all input
+is read and checked first, and bad input exits 1 with one error line; then the
+resolved configuration (seed included) is echoed to stderr so the run can be
+replayed exactly; only then does the work start.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import secrets
 import sys
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +52,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _fresh_seed() -> int:
-    return secrets.randbits(63)
-
-
-def _echo_config(cfg: dict) -> None:
-    print("resolved config: " + json.dumps(cfg), file=sys.stderr)
+def _seed(args) -> int:
+    return args.seed if args.seed is not None else secrets.randbits(63)
 
 
 def _envelope(command: str, cfg: dict, results, warning_list: list[str]) -> dict:
@@ -68,11 +67,24 @@ def _envelope(command: str, cfg: dict, results, warning_list: list[str]) -> dict
     }
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str | None, text: str, code: int = EXIT_OK) -> int:
+    """Write `text` to stdout or to the file `path`; return `code`, or 1 if the write fails."""
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return code
 
 
 def _check_precision(precision: int) -> None:
@@ -86,30 +98,18 @@ def _parse_estimator_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def cmd_estimate(args) -> int:
-    try:
-        _check_precision(args.precision)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    global_warnings: list[str] = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+def cmd_estimate(args) -> tuple[dict, Callable[[], int]]:
+    text = _read(args.input)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
             if args.format == "freq":
                 table = parse_frequency_table(text)
             else:
                 table = from_abundances(parse_abundance_vector(text))
-        global_warnings.extend(str(w.message) for w in caught)
-    except ValueError as exc:
-        print(f"error: invalid {args.format} input: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+        except ValueError as exc:
+            raise ValueError(f"invalid {args.format} input: {exc}") from exc
+    global_warnings = [str(w.message) for w in caught]
     cfg = {
         "input": args.input,
         "format": args.format,
@@ -117,50 +117,47 @@ def cmd_estimate(args) -> int:
         "output": args.output,
         "precision": args.precision,
     }
-    _echo_config(cfg)
-    names = list(ESTIMATORS) if args.estimator == "all" else [args.estimator]
-    results = []
-    for name, (outcome,) in _estimate_batch(names, [table]).items():
-        est, error = (None, str(outcome)) if isinstance(outcome, Exception) else (outcome, None)
-        model = getattr(est, "model", None)
-        results.append(
-            {
-                "estimator": name,
-                **{k: getattr(est, k, None) for k in ("C_hat", "se", "f0_hat", "f1_hat")},
-                "model_p": getattr(model, "p", None),
-                "model_q": getattr(model, "q", None),
-                "warnings": getattr(est, "warnings", []),
-                "error": error,
-            }
-        )
-    if args.output == "json":
-        text = to_json(_envelope("estimate", cfg, results, global_warnings))
-    else:
-        text = to_csv(ESTIMATE_COLUMNS, results, args.precision)
-    _write_text(args.out, text)
-    return EXIT_OK if any(row["error"] is None for row in results) else EXIT_ALL_FAILED
+
+    def run() -> int:
+        names = list(ESTIMATORS) if args.estimator == "all" else [args.estimator]
+        results = []
+        for name, (outcome,) in _estimate_batch(names, [table]).items():
+            est, error = (None, str(outcome)) if isinstance(outcome, Exception) else (outcome, None)
+            model = getattr(est, "model", None)
+            results.append(
+                {
+                    "estimator": name,
+                    **{k: getattr(est, k, None) for k in ("C_hat", "se", "f0_hat", "f1_hat")},
+                    "model_p": getattr(model, "p", None),
+                    "model_q": getattr(model, "q", None),
+                    "warnings": getattr(est, "warnings", []),
+                    "error": error,
+                }
+            )
+        if args.output == "json":
+            text = to_json(_envelope("estimate", cfg, results, global_warnings))
+        else:
+            text = to_csv(ESTIMATE_COLUMNS, results, args.precision)
+        ok = any(row["error"] is None for row in results)
+        return _write_text(args.out, text, EXIT_OK if ok else EXIT_ALL_FAILED)
+
+    return cfg, run
 
 
-def cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    try:
-        estimators = _parse_estimator_list(args.estimators)
-        if args.workers < 1:
-            raise ValueError("workers must be >= 1")
-        _check_precision(args.precision)
-        cfg = simlab.SimulationConfig(
-            C=args.C,
-            size=args.size,
-            prob=args.prob,
-            chimeric_rate=args.rate,
-            reps=args.reps,
-            seed=seed,
-            estimators=estimators,
-            trim=args.trim,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+def cmd_simulate(args) -> tuple[dict, Callable[[], int]]:
+    estimators = _parse_estimator_list(args.estimators)
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
+    cfg = simlab.SimulationConfig(
+        C=args.C,
+        size=args.size,
+        prob=args.prob,
+        chimeric_rate=args.rate,
+        reps=args.reps,
+        seed=_seed(args),
+        estimators=estimators,
+        trim=args.trim,
+    )
     fmt = args.output
     if fmt is None:
         fmt = "json" if args.out.endswith(".json") else "csv"
@@ -178,16 +175,18 @@ def cmd_simulate(args) -> int:
         "output": fmt,
         "include_runtimes": args.include_runtimes,
     }
-    _echo_config(resolved)
-    report = simlab.run_replications(cfg, workers=args.workers)
-    if fmt == "json":
-        text = simlab.report_to_json(report, include_runtimes=args.include_runtimes)
-    else:
-        text = simlab.report_to_csv(
-            report, include_runtimes=args.include_runtimes, precision=args.precision
-        )
-    _write_text(args.out, text)
-    return EXIT_OK
+
+    def run() -> int:
+        report = simlab.run_replications(cfg, workers=args.workers)
+        if fmt == "json":
+            text = simlab.report_to_json(report, include_runtimes=args.include_runtimes)
+        else:
+            text = simlab.report_to_csv(
+                report, include_runtimes=args.include_runtimes, precision=args.precision
+            )
+        return _write_text(args.out, text)
+
+    return resolved, run
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -198,39 +197,34 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def cmd_calibrate_se(args) -> int:
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    try:
-        c_list = _parse_int_list(args.C_list)
-        size_list = _parse_int_list(args.size_list)
-        prob_list = _parse_float_list(args.prob_list)
-        if not c_list or not size_list or not prob_list:
-            raise ValueError("empty parameter list")
-        if args.workers < 1:
-            raise ValueError("workers must be >= 1")
-        _check_precision(args.precision)
-        if args.grid == "zip":
-            if not (len(c_list) == len(size_list) == len(prob_list)):
-                raise ValueError("zipped lists must have equal lengths")
-            combos = list(zip(c_list, size_list, prob_list))
-        else:
-            combos = list(itertools.product(c_list, size_list, prob_list))
-        configs = [
-            simlab.SimulationConfig(
-                C=c_true,
-                size=size,
-                prob=prob,
-                chimeric_rate=args.rate,
-                reps=args.reps,
-                seed=seed,
-                estimators=(args.estimator,),
-                trim=args.trim,
-            )
-            for c_true, size, prob in combos
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+def cmd_calibrate_se(args) -> tuple[dict, Callable[[], int]]:
+    seed = _seed(args)
+    c_list = _parse_int_list(args.C_list)
+    size_list = _parse_int_list(args.size_list)
+    prob_list = _parse_float_list(args.prob_list)
+    if not c_list or not size_list or not prob_list:
+        raise ValueError("empty parameter list")
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
+    if args.grid == "zip":
+        if not (len(c_list) == len(size_list) == len(prob_list)):
+            raise ValueError("zipped lists must have equal lengths")
+        combos = list(zip(c_list, size_list, prob_list))
+    else:
+        combos = list(itertools.product(c_list, size_list, prob_list))
+    configs = [
+        simlab.SimulationConfig(
+            C=c_true,
+            size=size,
+            prob=prob,
+            chimeric_rate=args.rate,
+            reps=args.reps,
+            seed=seed,
+            estimators=(args.estimator,),
+            trim=args.trim,
+        )
+        for c_true, size, prob in combos
+    ]
 
     global_warnings: list[str] = []
     if args.reps < LOW_REPS_THRESHOLD:
@@ -251,76 +245,65 @@ def cmd_calibrate_se(args) -> int:
         "workers": args.workers,
         "output": args.output,
     }
-    _echo_config(resolved)
 
-    rows = []
-    for cfg in configs:
-        report = simlab.run_replications(cfg, workers=args.workers)
-        cal = None
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                cal = simlab.calibration_from_report(report)
-            row_warnings = [str(w.message) for w in caught]
-        except simlab.AllReplicatesFailedError as exc:
-            row_warnings = [str(exc)]
-        rows.append(
-            {
-                "C": cfg.C,
-                "size": cfg.size,
-                "prob": cfg.prob,
-                "estimator": args.estimator,
-                "median_se": getattr(cal, "median_se", None),
-                "mad_scaled": getattr(cal, "mad_of_estimates", None),
-                "relative_error_pct": getattr(cal, "relative_error_percent", None),
-                "failures": report.stats[0].failures,
-                "reps": args.reps,
-                "seed": seed,
-                "warnings": row_warnings,
-            }
-        )
-    if args.output == "json":
-        text = to_json(_envelope("calibrate-se", resolved, rows, global_warnings))
-    else:
-        text = to_csv(CALIBRATION_COLUMNS, rows, args.precision)
-    _write_text(args.out, text)
-    return EXIT_OK
+    def run() -> int:
+        rows = []
+        for cfg in configs:
+            report = simlab.run_replications(cfg, workers=args.workers)
+            cal = None
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    cal = simlab.calibration_from_report(report)
+                row_warnings = [str(w.message) for w in caught]
+            except simlab.AllReplicatesFailedError as exc:
+                row_warnings = [str(exc)]
+            rows.append(
+                {
+                    "C": cfg.C,
+                    "size": cfg.size,
+                    "prob": cfg.prob,
+                    "estimator": args.estimator,
+                    "median_se": getattr(cal, "median_se", None),
+                    "mad_scaled": getattr(cal, "mad_of_estimates", None),
+                    "relative_error_pct": getattr(cal, "relative_error_percent", None),
+                    "failures": report.stats[0].failures,
+                    "reps": args.reps,
+                    "seed": seed,
+                    "warnings": row_warnings,
+                }
+            )
+        if args.output == "json":
+            text = to_json(_envelope("calibrate-se", resolved, rows, global_warnings))
+        else:
+            text = to_csv(CALIBRATION_COLUMNS, rows, args.precision)
+        return _write_text(args.out, text)
+
+    return resolved, run
 
 
-def cmd_rarefy(args) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+def cmd_rarefy(args) -> tuple[dict, Callable[[], int]]:
+    text = _read(args.input)
     try:
         abundances = parse_abundance_vector(text)
     except ValueError as exc:
-        print(
-            "error: rarefaction requires abundance-format input"
-            f" (one positive count per line): {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
-    try:
-        requested = _parse_float_list(args.fractions)
-        if not requested:
-            raise ValueError("no fractions given")
-        if any(not (0.0 < x <= 1.0) for x in requested):
-            raise ValueError("fractions must lie in (0, 1]")
-        estimators = _parse_estimator_list(args.estimators)
-        if args.reps < 1:
-            raise ValueError("reps must be >= 1")
-        _check_precision(args.precision)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+        raise ValueError(
+            "rarefaction requires abundance-format input"
+            f" (one positive count per line): {exc}"
+        ) from exc
+    requested = _parse_float_list(args.fractions)
+    if not requested:
+        raise ValueError("no fractions given")
+    if any(not (0.0 < x <= 1.0) for x in requested):
+        raise ValueError("fractions must lie in (0, 1]")
+    estimators = _parse_estimator_list(args.estimators)
+    if args.reps < 1:
+        raise ValueError("reps must be >= 1")
+    seed = _seed(args)
+    rng = np.random.default_rng(seed)
     fractions = sorted(set(requested))
     if fractions != requested:
         print("warning: fractions reordered/deduplicated for output", file=sys.stderr)
-
-    seed = args.seed if args.seed is not None else _fresh_seed()
     resolved = {
         "input": args.input,
         "fractions": fractions,
@@ -329,13 +312,14 @@ def cmd_rarefy(args) -> int:
         "estimators": list(estimators),
         "precision": args.precision,
     }
-    _echo_config(resolved)
-    rng = np.random.default_rng(seed)
-    curve = simlab.subsample_curve(abundances, fractions, args.reps, rng, estimators)
-    columns = [f.name for f in dataclasses.fields(simlab.CurveRow)]
-    rows = [dataclasses.asdict(row) for row in curve]
-    _write_text(args.out, to_csv(columns, rows, args.precision))
-    return EXIT_OK
+
+    def run() -> int:
+        curve = simlab.subsample_curve(abundances, fractions, args.reps, rng, estimators)
+        columns = [f.name for f in dataclasses.fields(simlab.CurveRow)]
+        rows = [dataclasses.asdict(row) for row in curve]
+        return _write_text(args.out, to_csv(columns, rows, args.precision))
+
+    return resolved, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +391,15 @@ def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser(tuple(ESTIMATORS)).parse_args(argv)
-    return args.func(args)
+    try:
+        _check_precision(args.precision)
+        resolved, run = args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    print("resolved config: " + json.dumps(resolved), file=sys.stderr)
+    # outside the handler: a ValueError raised by the work itself is a fault, not bad input
+    return run()
 
 
 if __name__ == "__main__":

@@ -141,7 +141,9 @@ class RatioSeries:
     """Regression dataset of frequency ratios r_j = f_{j+1}/f_j.
 
     count_lo / count_hi hold the (f_j, f_{j+1}) pairs backing each point;
-    the reweighting rule needs them.
+    the reweighting rule needs them. weight is validated (finite, positive)
+    but fit_wnls never reads it: every pass's weights come from count_lo and
+    count_hi, evaluated at the observed and then at the fitted ratios.
     """
 
     j: np.ndarray

@@ -415,3 +415,53 @@ class TestParserReadsRegistry:
             main(["estimate", "--input", freq_file, "--estimator", "chao1-again"])
         assert excinfo.value.code == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestReadAndWriteFailures:
+    """Unreadable input exits 1 before the echo; an unwritable --out exits 1 after the work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate"], ["rarefy", "--fractions", "1.0", "--seed", "1"]],
+        ids=["estimate", "rarefy"],
+    )
+    def test_non_utf8_input_exit_1(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bin.txt").write_bytes(b"\xff\xfe\x00\x01\n")
+        code, out, err = run_cli(capsys, argv + ["--input", "bin.txt"])
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: cannot read bin.txt: ")
+
+    def test_rarefy_negative_seed_exit_1_before_echo(self, capsys, tmp_path):
+        path = tmp_path / "ab.txt"
+        path.write_text("5\n3\n1\n1\n2\n")
+        argv = ["rarefy", "--input", str(path), "--fractions", "1.0", "--seed", "-1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_simulate_unwritable_out_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "r.csv"
+        argv = TestRejectedBeforeRunning.SIMULATE + ["--estimators", "chao1", "--out", str(out)]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'"
+        ]
+        assert "Traceback" not in err
+
+
+class TestFaultsAreNotInputErrors:
+    def test_value_error_from_an_estimator_propagates(self, capsys, monkeypatch, freq_file):
+        def broken(table):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setitem(ESTIMATORS, "chao1", broken)
+        with pytest.raises(ValueError, match="a bug, not bad input"):
+            main(["estimate", "--input", freq_file, "--estimator", "chao1"])
+        assert "resolved config" in capsys.readouterr().err
