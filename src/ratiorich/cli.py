@@ -2,19 +2,23 @@
 
 Exit codes are a stable contract: 0 success, 1 input/config error, 2 when
 every requested estimator failed. Every run goes validate, echo, run: all input
-is read and checked first, and bad input exits 1 with one error line; then the
-resolved configuration (seed included) is echoed to stderr so the run can be
-replayed exactly; only then does the work start.
+is read and checked first, as is that the --out file can be written, and bad
+input exits 1 with one error line; then the resolved configuration (seed
+included) is echoed to stderr so the run can be replayed exactly; only then
+does the work start.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import itertools
 import json
+import os
 import secrets
+import stat
 import sys
 import warnings
 from collections.abc import Callable
@@ -53,7 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    return args.seed if args.seed is not None else secrets.randbits(63)
+    """--seed, or a fresh seed when it is omitted."""
+    return secrets.randbits(63) if args.seed is None else simlab._check_seed(args.seed)
 
 
 def _envelope(command: str, cfg: dict, results, warning_list: list[str]) -> dict:
@@ -72,6 +77,33 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_out(path: str | None) -> None:
+    """Reject an --out file that cannot be written, without creating or truncating it.
+
+    The message names the errno that opening the file would most likely
+    raise. _write_text still reports a write that fails later.
+    """
+    if path in (None, "-"):
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:  # writable if its directory exists and is writable
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOENT
+        else:
+            code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    except OSError as exc:  # a file where a directory should be, a search denied
+        code = exc.errno
+    else:
+        if stat.S_ISDIR(mode):
+            code = errno.EISDIR
+        else:
+            code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    if code:
+        raise ValueError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _write_text(path: str | None, text: str, code: int = EXIT_OK) -> int:
@@ -393,6 +425,7 @@ def main(argv=None) -> int:
     args = _parser(tuple(ESTIMATORS)).parse_args(argv)
     try:
         _check_precision(args.precision)
+        _check_out(args.out)
         resolved, run = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,11 +19,10 @@ the coefficients of the reported form below diverge, is an ordinary point.
 
 One kernel fits a whole batch of series of one rung in lockstep: arrays are
 stacked as (batch, points, coef), each series is padded with zero-weight
-rows to a length set by its own point count, and each gets LAPACK calls of
-its own, so a fit is a pure function of its series, bit for bit, whatever
-batch it is fitted in. Stopped series stay frozen in the kernel's arrays
-until at most half still step, when the arrays are compacted; fast paths
-spare small batches, such as one estimate call's, the copying of rows.
+rows to a length set by its own point count, and every stacked LAPACK call
+runs LAPACK once per series, so a fit is a pure function of its series, bit
+for bit, whatever batch it is fitted in. Stopped series stay frozen in the
+kernel's arrays until at most half still step, when the arrays are compacted.
 
 Results are reported as RationalModel (beta, alpha) = (c / d0, d[1:] / d0),
 the form with D(0) = 1. The chart covariance is sigma^2 (Jw' Jw)^-1, with Jw
@@ -41,6 +40,10 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+# numpy's private gufuncs run LAPACK once per matrix of a stack: the public qr and
+# solve add about 8 us of checks a call, and qr cannot reuse a factorization. Their
+# bits equal scipy's LAPACK up to 5x5 solves; scipy's dgesv does the 6x6-8x8 covariances.
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, solve1
 from scipy.linalg import lapack as _lapack
 
 from .freqtab import FrequencyCountTable, tail_cutoff
@@ -274,8 +277,8 @@ class _Projection(NamedTuple):
     Arrays are stacked over the series; den is D(j) at the denominators d, as
     (batch, 1, points).
     qr[i].T and tau[i] are LAPACK's compact QR of the augmented weighted
-    design [A | sqrt(w) r] of series i, stored transposed so that LAPACK
-    factors it in place: its top k rows hold R and Q' sqrt(w) r, and its
+    design [A | sqrt(w) r] of series i, factored in place through the
+    transposed view: its top k rows hold R and Q' sqrt(w) r, and its
     (k, k) entry is the norm of the projected residual, so sse needs no
     explicit Q. sse is inf where D vanishes on the data.
     """
@@ -301,9 +304,9 @@ def _project(
 
     The weighted design is A = sqrt(w) j^i / D(j), from swvn_t = sqrt(w) j^i
     and vd_t = j^i as (batch, coef, points), and swr = sqrt(w) r; the
-    projected residual is sqrt(w) r - Q Q' sqrt(w) r with A = QR. Each series
-    gets a LAPACK call of its own, so its result does not depend on the rest
-    of the batch.
+    projected residual is sqrt(w) r - Q Q' sqrt(w) r with A = QR. One stacked
+    qr_r_raw call gives each series a LAPACK call of its own, so its result
+    does not depend on the batch; D vanishing on the data factors zeros.
     """
     den = np.matmul(d[:, None, :], vd_t)
     k = swvn_t.shape[1]
@@ -311,23 +314,17 @@ def _project(
     np.divide(swvn_t, den, out=qr[:, :k])
     qr[:, k] = swr
     finite = np.isfinite(qr).all(axis=(1, 2))
-    tau = np.empty((len(d), k + 1))
-    for i in finite.nonzero()[0]:
-        factored, tau[i], _, _ = _lapack.dgeqrf(qr[i].T, overwrite_a=True)
-        if not np.may_share_memory(factored, qr):  # LAPACK was handed a copy
-            qr[i] = factored.T
+    qr[~finite] = 0.0
+    tau = qr_r_raw(qr.transpose(0, 2, 1))  # factors in place
     sse = qr[:, k, k] ** 2
     sse[~finite] = np.inf
     return _Projection(d, den, qr, tau, sse)
 
 
 def _numerators(at: _Projection) -> np.ndarray:
-    """c = R^-1 Q' sqrt(w) r for each series of a projection."""
+    """c = R^-1 Q' sqrt(w) r for each series of a projection, NaN where R is singular."""
     k = at.qr.shape[1] - 1
-    c = np.empty((len(at.qr), k))
-    for i, qr in enumerate(at.qr):
-        c[i] = _lapack.dtrtrs(qr[:k, :k].T, qr[k, :k])[0]
-    return c
+    return solve1(np.triu(at.qr[:, :k, :k].transpose(0, 2, 1)), at.qr[:, k, :k])
 
 
 def _newton_system(
@@ -339,14 +336,13 @@ def _newton_system(
     d + T u in the plane tangent to d. With K = dresid/du at fixed c and
     G = resid / D times the tangent denominator columns, the exact Hessian is
     the Schur complement of the (c, u) Hessian at c = c(d):
-    K'K - 2 K'G - X'X with X = Q'(G - K), since R^-T A' = Q'. The damping
+    K'K - 2 K'G - X'X with X = Q'(G - K), since R^-T A' = Q', and one stacked
+    qr_reduced call builds every Q from its stored factorization. The damping
     matrix is the diagonal of K'K; it vanishes only where the fitted values
     vanish on every data point.
     """
     k = at.qr.shape[1] - 1
-    qaug = np.empty(at.qr.transpose(0, 2, 1).shape)
-    for i, (qr, tau) in enumerate(zip(at.qr, at.tau)):
-        qaug[i] = _lapack.dorgqr(qr.T, tau)[0]
+    qaug = qr_reduced(at.qr.transpose(0, 2, 1), at.tau)
     resid = qaug[:, :, k:] * at.qr[:, k : k + 1, k : k + 1]
     basis = _tangent_basis(at.d)
     nq = basis.shape[2]
@@ -373,26 +369,27 @@ def _variable_projection(
     accepted step, x10 on a rejected one. A step that lowers the SSE by more
     than _EXTRAPOLATE_ABOVE is stretched 2, 4 and 8 times for as long as that
     lowers it further, which crosses the long flat stretches between a
-    start and a distant optimum in few steps. A series stops when its relative
-    SSE change drops below SSE_REL_TOL, the Euclidean norm of its step drops
-    below STEP_TOL, its damping passes _DAMPING_MAX or the iteration budget
-    runs out.
+    start and a distant optimum in few steps: the three points of every such
+    series are projected in one call, and each takes its longest run of
+    falling SSEs. A series stops when its relative SSE change drops below
+    SSE_REL_TOL, the Euclidean norm of its step drops below STEP_TOL, its
+    damping passes _DAMPING_MAX or the iteration budget runs out.
 
     Arrays are (batch, points, coef), with zero weights on padding rows. The
     batch moves in lockstep, one step per series per round: the linear
-    algebra runs on the stacked arrays, the per-series decisions on lists.
-    Each series keeps its own damping and stretches. A series that stops is
-    recorded and frozen: a zero step, never accepted. The held arrays drop
-    the frozen rows once at most half still step, the only way out of them.
-    A round where any row moved rebuilds every held row's Newton system,
-    the same bits at an unchanged d. When every held row improves, or every
-    one stretches, the trial arrays are taken whole; without these fast
-    paths estimate-cli, whose batches hold one table's nof1 and breakaway
-    series, had 13% and 22% higher p50 and p90 latencies (bench/run.py,
-    5 pairs, 2-CPU host). Returns per series the final d, c, iterations
-    and converged flag, and a singular flag for a series whose damped system
-    could not be solved or whose start has D vanishing on the data (its
-    other entries are then meaningless).
+    algebra runs on the stacked arrays, with at most two projections a
+    round, and the per-series decisions on lists. Each series keeps its own
+    damping and stretches. A series that stops is recorded and frozen: no
+    solve, a zero step, never accepted. The held arrays drop the frozen rows
+    once at most half still step, the only way out of them. A round where any
+    row moved rebuilds every held row's Newton system, the same bits at an
+    unchanged d. When every held row improves, the trial arrays are taken
+    whole. estimate-cli's p50 and p90 are 16.9 and 27.8 ms, against 18.3 and
+    31.6 with per-series LAPACK and a whole-array path for stretches
+    (bench/run.py, 5 pairs, 2-CPU host).
+    Returns per series the final d, c, iterations and converged flag, and a
+    singular flag for a series whose damped system could not be solved or
+    whose start has D vanishing on the data (other entries then meaningless).
     """
     sw = np.sqrt(w)
     swr = sw * r
@@ -413,13 +410,11 @@ def _variable_projection(
     for it in range(1, MAX_ITERATIONS + 1):
         if moved:
             basis, hess, damp, grad = _newton_system(at, vd, swr[:, :, None])
-        # delta solves (hess + lam damp) delta = grad; the Newton step is -delta
+        # delta solves (hess + lam damp) delta = grad; the Newton step is -delta.
+        # A singular system solves to NaN: its trial SSE is inf, and the series stops.
         lhs = hess + np.array(lam)[:, None, None] * damp
         delta = np.zeros_like(grad)
-        for i in stepping:
-            _, _, delta[i], info = _lapack.dgesv(lhs[i], grad[i])
-            if info:
-                delta[i] = np.nan  # its trial SSE is inf, and the series stops
+        delta[stepping] = solve1(lhs[stepping], grad[stepping])
         sq = np.add.reduce(delta * delta, axis=1)
         step = sq.tolist()
         move = np.matmul(basis, delta[:, :, None])[:, :, 0]
@@ -427,21 +422,21 @@ def _variable_projection(
         at_trial = _project(trial, swvn_t, vd_t, swr)
         before, after = at.sse.tolist(), at_trial.sse.tolist()
         far = [i for i in stepping if before[i] - after[i] > _EXTRAPOLATE_ABOVE * before[i]]
-        for stretch in (2.0, 4.0, 8.0):
-            if not far:
-                break
-            rows = far if len(far) < len(held) else slice(None)
+        if far:
+            # the points 2, 4 and 8 times along every far series' step, in one projection
+            rows = np.array(far * 3)
+            stretch = np.array([2.0, 4.0, 8.0]).repeat(len(far))[:, None]
             point = (at.d[rows] - stretch * move[rows]) / np.sqrt(1.0 + stretch**2 * sq[rows, None])
             at_point = _project(point, swvn_t[rows], vd_t[rows], swr[rows])
             reached = at_point.sse.tolist()
-            gain = [g for g, i in enumerate(far) if reached[g] < after[i]]
-            far = [far[g] for g in gain]
-            if len(far) == len(held):
-                at_trial = at_point
-            elif far:
-                at_trial.put(far, at_point.take(gain))
-            for g, i in zip(gain, far):
-                after[i] = reached[g]
+            gain = {}  # a far series' farthest point of its run of falling SSEs
+            for first, i in enumerate(far):
+                for g in range(first, len(rows), len(far)):
+                    if not reached[g] < after[i]:
+                        break
+                    after[i], gain[i] = reached[g], g
+            if gain:
+                at_trial.put(list(gain), at_point.take(list(gain.values())))
 
         moved, going = [], []
         for i in stepping:

@@ -66,6 +66,13 @@ class AllReplicatesFailedError(RuntimeError):
     """No replicate produced an estimate to aggregate."""
 
 
+def _check_seed(seed: int) -> int:
+    """seed, if it is one replicate_rng takes: a 64-bit unsigned integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return seed
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """One simulation scenario: population, corruption, and bookkeeping.
@@ -96,8 +103,7 @@ class SimulationConfig:
             raise ValueError("chimeric_rate must be finite")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
         if not (0.0 <= self.trim < 0.5):
             raise ValueError("trim must lie in [0, 0.5)")
         object.__setattr__(self, "estimators", tuple(self.estimators))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ratiorich import simlab
 from ratiorich.cli import main
 from ratiorich.estimators import ESTIMATORS, chao1
 
@@ -418,7 +419,7 @@ class TestParserReadsRegistry:
 
 
 class TestReadAndWriteFailures:
-    """Unreadable input exits 1 before the echo; an unwritable --out exits 1 after the work."""
+    """Unreadable input and an unwritable --out exit 1 before the echo and the work."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -434,15 +435,37 @@ class TestReadAndWriteFailures:
         (line,) = err.splitlines()
         assert line.startswith("error: cannot read bin.txt: ")
 
-    def test_rarefy_negative_seed_exit_1_before_echo(self, capsys, tmp_path):
+    @staticmethod
+    def rarefy_with_seed(capsys, tmp_path, seed):
         path = tmp_path / "ab.txt"
         path.write_text("5\n3\n1\n1\n2\n")
-        argv = ["rarefy", "--input", str(path), "--fractions", "1.0", "--seed", "-1"]
+        argv = ["rarefy", "--input", str(path), "--fractions", "1.0", "--seed", seed]
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert out == ""
-        (line,) = err.splitlines()
-        assert line.startswith("error: ")
+        assert err == "error: seed must be a 64-bit unsigned integer\n"
+
+    def test_rarefy_negative_seed_exit_1_before_echo(self, capsys, tmp_path):
+        self.rarefy_with_seed(capsys, tmp_path, "-1")
+
+    def test_rarefy_seed_of_2_to_the_64_exit_1_before_echo(self, capsys, tmp_path):
+        self.rarefy_with_seed(capsys, tmp_path, str(2**64))
+
+    @pytest.mark.parametrize("name", ["missing/r.csv", "file/r.csv", "file/sub/r.csv", "dir"])
+    def test_out_check_names_the_error_of_opening(self, capsys, monkeypatch, tmp_path, name):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(simlab, "run_replications", must_not_run)
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / name
+        with pytest.raises(OSError) as opening:
+            open(out, "w")
+        code, stdout, err = run_cli(capsys, TestRejectedBeforeRunning.SIMULATE + ["--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert err == f"error: cannot write {out}: {opening.value}\n"
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_simulate_unwritable_out_exit_1(self, capsys, tmp_path):
         out = tmp_path / "missing" / "r.csv"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, solve1
+from scipy.linalg import lapack
 
 from ratiorich.freqtab import InsufficientDataError
 from ratiorich.estimators import NoAdmissibleModelError, _select_batch, select_model
@@ -14,7 +16,12 @@ from ratiorich.ratiofit import (
     eval_model,
     fit_wnls,
 )
-from ratiorich.ratiofit import _design_matrices, _fit_batch, _model_and_jacobian
+from ratiorich.ratiofit import (
+    _design_matrices,
+    _fit_batch,
+    _model_and_jacobian,
+    _variable_projection,
+)
 from ratiorich.simlab import replicate_rng, sample_nb_counts, truncate_to_observed
 
 from helpers import (
@@ -268,6 +275,79 @@ class TestBatchIndependenceProperty:
             fits = _fit_batch([_POOL[i] for i in draw], p, q)
             for i, fit in zip(draw, fits, strict=True):
                 assert_same_fit(alone_fits[p, q][i], fit)
+
+
+class TestStackedLapack:
+    """The kernel's stacked gufuncs give scipy's per-matrix LAPACK results, bit for bit.
+
+    A numpy that renames these private gufuncs, or builds them on a LAPACK
+    with other bits, fails here before any fit changes silently.
+    """
+
+    @pytest.mark.parametrize("cols", [2, 3, 4, 5, 6])
+    def test_qr_and_q_equal_dgeqrf_and_dorgqr(self, cols):
+        rng = np.random.default_rng(cols)
+        for rows in range(8, 65, 8):
+            stack = rng.standard_normal((5, rows, cols)) * np.exp(3 * rng.standard_normal(cols))
+            factored = stack.copy()
+            tau = qr_r_raw(factored)
+            q = qr_reduced(factored, tau)
+            for i, a in enumerate(stack):
+                ref, ref_tau, _, info = lapack.dgeqrf(a)
+                assert info == 0
+                assert np.array_equal(factored[i], ref)
+                assert np.array_equal(tau[i], ref_tau)
+                assert np.array_equal(q[i], lapack.dorgqr(ref, ref_tau)[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_solve1_equals_dgesv(self, n):
+        rng = np.random.default_rng(10 + n)
+        lhs, rhs = rng.standard_normal((200, n, n)), rng.standard_normal((200, n))
+        x = solve1(lhs, rhs)
+        for i in range(len(lhs)):
+            assert np.array_equal(x[i], lapack.dgesv(lhs[i], rhs[i])[2])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_solve1_on_triangle_equals_dtrtrs(self, n):
+        rng = np.random.default_rng(20 + n)
+        upper, rhs = np.triu(rng.standard_normal((200, n, n))), rng.standard_normal((200, n))
+        x = solve1(upper, rhs)
+        for i in range(len(upper)):
+            assert np.array_equal(x[i], lapack.dtrtrs(upper[i], rhs[i])[0])
+
+
+class TestKernelSingularRows:
+    """Series that cannot start or cannot step leave the rest of the batch untouched."""
+
+    @staticmethod
+    def batch():
+        rng = np.random.default_rng(7)
+        j = np.tile(np.arange(1.0, 17.0), (6, 1))
+        vn, vd = _design_matrices(j, 2, 1)
+        r = (2.0 + 0.5 * j) / (1.0 + 0.3 * j) * np.exp(0.05 * rng.standard_normal(j.shape))
+        w = rng.uniform(1.0, 50.0, j.shape)
+        d = np.tile([1.0, 0.0], (6, 1))
+        d[2] = np.array([5.0, -1.0]) / np.hypot(5.0, 1.0)  # D(5) = 0: cannot start
+        r[4] = 0.0  # every fitted value vanishes: a singular Newton system
+        return d, vn, vd, r, w
+
+    def test_singular_series_are_flagged_and_the_others_fit_as_alone(self):
+        d, vn, vd, r, w = self.batch()
+        with np.errstate(all="ignore"):
+            together = _variable_projection(d, vn, vd, r, w)
+            alone = [
+                _variable_projection(*(a[i : i + 1] for a in (d, vn, vd, r, w)))
+                for i in range(len(d))
+            ]
+        _, _, iterations, converged, singular = together
+        assert singular.tolist() == [False, False, True, False, True, False]
+        assert (iterations[2], iterations[4]) == (0, 1)  # never stepped; its first solve failed
+        for i, one in enumerate(alone):
+            assert bool(one[4][0]) == singular[i]
+            if not singular[i]:
+                assert converged[i] and iterations[i] > 1
+                for got, want in zip(together, one):
+                    assert np.array_equal(got[i], want[0])
 
 
 class TestJacobian:
