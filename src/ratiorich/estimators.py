@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import fdtri
 
 from . import ratiofit as _ratiofit
 from .freqtab import FrequencyCountTable, InsufficientDataError, observed_richness
@@ -101,8 +100,85 @@ class NoAdmissibleModelError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _f_critical(dfn: int, dfd: int) -> float:
-    # the F(dfn, dfd) quantile; scipy.stats.f.ppf computes the same fdtri
-    return float(fdtri(dfn, dfd, 1.0 - GROWTH_ALPHA))
+    """The upper GROWTH_ALPHA quantile of the F(dfn, dfd) distribution.
+
+    Newton's method on log P(F > f) over log f, from f = 1. log F has a
+    log-concave density, so log P(F > f) is concave in log f and the
+    iteration converges from any start, after at most one overshoot. It stops
+    once a step moves f by less than 1e-9 relative: the step converges
+    quadratically, so the last one leaves only the error of the tail itself.
+    For dfn <= 8 it is within 1e-14 relative of the exact quantile up to
+    dfd = 100 and within 1e-13 up to dfd = 3,000: the continued fraction loses
+    digits about linearly in the larger of dfd and dfn.
+    """
+    f = 1.0
+    for _ in range(100):
+        tail, slope = _f_upper_tail(dfn, dfd, f)
+        step = math.log(tail / GROWTH_ALPHA) * tail / slope
+        f *= math.exp(step)
+        if abs(step) < 1e-9:
+            return f
+    raise ArithmeticError(f"F({dfn}, {dfd}) quantile did not converge")
+
+
+def _f_upper_tail(dfn: int, dfd: int, f: float) -> tuple[float, float]:
+    """P(F > f) for F(dfn, dfd), and minus its derivative in log f.
+
+    P(F > f) = I_y(a, b), the regularized incomplete beta function at
+    y = dfd / (dfd + dfn f) with a = dfd / 2, b = dfn / 2, and its derivative
+    in log f is -y^a x^b / B(a, b) with x = 1 - y. I_y comes from its continued
+    fraction in y where y < (a + 1) / (a + b + 2) and it converges fast, else
+    as 1 - I_x(b, a) from the continued fraction in x.
+    """
+    a, b = 0.5 * dfd, 0.5 * dfn
+    ratio = dfn * f / dfd
+    y, x = 1.0 / (1.0 + ratio), ratio / (1.0 + ratio)
+    slope = math.exp(-(a + b) * math.log1p(ratio) + b * math.log(ratio) - _log_beta(a, b))
+    if y < (a + 1.0) / (a + b + 2.0):
+        return slope * _beta_fraction(a, b, y, x) / a, slope
+    return 1.0 - slope * _beta_fraction(b, a, x, y) / b, slope
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), to a few units of 1e-16 absolute where min(a, b) is small."""
+    small, big = sorted((a, b))
+    if small + big < 171.0:  # no Gamma overflows
+        return math.log(math.gamma(small) / math.gamma(small + big) * math.gamma(big))
+
+    def stirling(z: float) -> float:  # log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z * z)) / (z * z)) / z
+
+    total = small + big
+    return (
+        math.lgamma(small)
+        - (big - 0.5) * math.log1p(small / big)
+        - small * math.log(total)
+        + small
+        + stirling(big)
+        - stirling(total)
+    )
+
+
+def _beta_fraction(a: float, b: float, z: float, zc: float) -> float:
+    """I_z(a, b) a B(a, b) / (z^a zc^b), zc = 1 - z, by its continued fraction.
+
+    Evaluated by Lentz's method (Numerical Recipes, 3rd ed., 6.4).
+    The first denominator, 1 - (a + b) z / (a + 1), is formed from zc so it
+    keeps its digits when z is close to 1.
+    """
+    c, d = 1.0, (a + 1.0) / ((a + 1.0) * zc + (1.0 - b) * z)
+    h = d
+    for m in range(1, 10_000):
+        for term in (
+            m * (b - m) * z / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * z / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / (1.0 + term * d)
+            c = 1.0 + term / c
+            h *= d * c
+        if abs(d * c - 1.0) <= 2.0**-52:
+            return h
+    raise ArithmeticError("the incomplete beta continued fraction did not converge")
 
 
 def _denominator_values(model: RationalModel, grid: np.ndarray) -> np.ndarray:

@@ -40,11 +40,11 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-# numpy's private gufuncs run LAPACK once per matrix of a stack: the public qr and
-# solve add about 8 us of checks a call, and qr cannot reuse a factorization. Their
-# bits equal scipy's LAPACK up to 5x5 solves; scipy's dgesv does the 6x6-8x8 covariances.
-from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced, solve1
-from scipy.linalg import lapack as _lapack
+# numpy's private gufuncs run LAPACK once per matrix of a stack: the public qr,
+# solve and inv add about 8 us of checks a call, and qr cannot reuse a factorization.
+# Their bits equal scipy's LAPACK for every factorization and for solves up to 5x5;
+# the 6x6 and 8x8 covariance inverses of rungs (3,2) and (4,3) differ in the last bits.
+from numpy.linalg._umath_linalg import inv, qr_r_raw, qr_reduced, solve1
 
 from .freqtab import FrequencyCountTable, tail_cutoff
 
@@ -508,13 +508,9 @@ def _fit_results(
     gram = np.matmul(jw.transpose(0, 2, 1), jw)
     scale = np.sqrt(gram.diagonal(axis1=1, axis2=2))
     outer = scale[:, :, None] * scale[:, None, :]
-    inverse = np.empty_like(gram)
-    singular = np.zeros(size, dtype=bool)
-    for i, scaled in enumerate(gram / outer):
-        _, _, inverse[i], info = _lapack.dgesv(scaled, _eye(k))
-        singular[i] = info != 0
-    chart_cov = sigma2[:, None, None] * inverse / outer
-    singular |= ~np.isfinite(chart_cov).all(axis=(1, 2))
+    # an exactly singular matrix inverts to NaN
+    chart_cov = sigma2[:, None, None] * inv(gram / outer) / outer
+    singular = ~np.isfinite(chart_cov).all(axis=(1, 2))
     chart_cov = np.matmul(np.matmul(embed, chart_cov), embed.transpose(0, 2, 1))
 
     # map (c, d) to (beta, alpha) = (c, d[1:]) / d0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import ratiorich
 from ratiorich import estimators
@@ -26,10 +26,16 @@ from ratiorich.estimators import (
     nof1_standard_error,
     select_model,
 )
-from ratiorich.freqtab import FrequencyCountTable, InsufficientDataError, observed_richness
+from ratiorich.freqtab import (
+    FrequencyCountTable,
+    InsufficientDataError,
+    observed_richness,
+    serialize_frequency_table,
+)
 from ratiorich.ratiofit import FitResult, RankDeficiencyError, RationalModel, build_ratio_series
 from ratiorich.simlab import (
     SimulationConfig,
+    apply_chimeric_inflation,
     replicate_rng,
     run_replications,
     sample_nb_counts,
@@ -356,15 +362,76 @@ class TestFCritical:
     def test_equals_scipy_stats_quantile(self):
         for dfn in range(1, 9):
             for dfd in (*range(1, 60), 100, 257, 1000, 2999):
-                assert _f_critical(dfn, dfd) == float(stats.f.ppf(1.0 - GROWTH_ALPHA, dfn, dfd))
+                want = float(stats.f.ppf(1.0 - GROWTH_ALPHA, dfn, dfd))
+                assert math.isclose(_f_critical(dfn, dfd), want, rel_tol=1e-12), (dfn, dfd)
 
-    def test_package_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, ratiorich, ratiorich.cli; print('scipy.stats' in sys.modules)"
+    def test_closed_forms(self):
+        assert GROWTH_ALPHA == 0.05
+        assert math.isclose(_f_critical(1, 2), 722 / 39, rel_tol=1e-14)
+        # F(1, 1) is the square of the Cauchy quantile at 1 - alpha/2
+        assert math.isclose(_f_critical(1, 1), math.tan(math.pi / 40) ** -2, rel_tol=1e-14)
+        for dfd in (*range(1, 60), 100, 257, 1000, 2999):
+            # P(F > f) = y^(dfd/2) for dfn = 2
+            want = dfd / 2 * math.expm1(-2 / dfd * math.log(GROWTH_ALPHA))
+            assert math.isclose(_f_critical(2, dfd), want, rel_tol=1e-14), dfd
+        for dfn in range(1, 9):
+            # P(F > f) = 1 - x^(dfn/2) for dfd = 2
+            want = 2 / dfn / math.expm1(-2 / dfn * math.log1p(-GROWTH_ALPHA))
+            assert math.isclose(_f_critical(dfn, 2), want, rel_tol=1e-14), dfn
+
+    def test_selection_is_the_same_under_scipy_quantiles(self, monkeypatch):
+        tables = []
+        for C, size, prob, rate in ((5000, 500, 0.99, 0.0), (5000, 500, 0.99, 100.0),
+                                    (5000, 100, 0.95, 0.0)):
+            for i in range(100):
+                counts = sample_nb_counts(C, size, prob, replicate_rng(1313, i))
+                tables.append(apply_chimeric_inflation(truncate_to_observed(counts), rate))
+        select = estimators._select_batch
+
+        def run():
+            """Every series' selection trace, and each estimator's (C_hat, se) or failure."""
+            traces = []
+
+            def spy(batch, require_f1):
+                out = select(batch, require_f1)
+                traces.extend(o.trace.tried if isinstance(o, Exception) else o[1].tried for o in out)
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(estimators, "_select_batch", spy)
+                estimates = _estimate_batch(("nof1", "breakaway"), tables)
+            return traces, {
+                name: [(e.C_hat, e.se) if isinstance(e, RichnessEstimate) else repr(e) for e in out]
+                for name, out in estimates.items()
+            }
+
+        ours = run()
+        outcomes = [outcome for tried in ours[0] for _, _, outcome in tried]
+        # the F test both grew and held the model many times
+        assert min(outcomes.count("superseded"), outcomes.count("not-selected")) >= 50
+        monkeypatch.setattr(
+            estimators,
+            "_f_critical",
+            lambda dfn, dfd: float(special.fdtri(dfn, dfd, 1.0 - GROWTH_ALPHA)),
+        )
+        assert run() == ours
+
+    def test_package_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        counts = sample_nb_counts(5000, 500, 0.99, replicate_rng(20260809, 0))
+        path = tmp_path / "table1.txt"
+        path.write_text(serialize_frequency_table(truncate_to_observed(counts)))
+        code = (
+            "import sys, ratiorich, ratiorich.cli\n"
+            f"code = ratiorich.cli.main(['estimate', '--input', {str(path)!r}, '--estimator', 'all'])\n"
+            "from ratiorich.estimators import _f_critical\n"
+            "print(code, _f_critical.cache_info().currsize > 0,"
+            " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(ratiorich.__file__).parents[1])}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.splitlines()[-1] == "0 True []"
 
 
 class TestBreakaway:
