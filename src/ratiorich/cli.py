@@ -324,13 +324,8 @@ def cmd_rarefy(args) -> tuple[dict, Callable[[], int]]:
             f" (one positive count per line): {exc}"
         ) from exc
     requested = _parse_float_list(args.fractions)
-    if not requested:
-        raise ValueError("no fractions given")
-    if any(not (0.0 < x <= 1.0) for x in requested):
-        raise ValueError("fractions must lie in (0, 1]")
+    simlab._check_curve_arguments(requested, args.reps)
     estimators = _parse_estimator_list(args.estimators)
-    if args.reps < 1:
-        raise ValueError("reps must be >= 1")
     seed = _seed(args)
     rng = np.random.default_rng(seed)
     fractions = sorted(set(requested))

@@ -28,7 +28,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,45 +97,18 @@ class NoAdmissibleModelError(RuntimeError):
         self.trace = trace
 
 
-@lru_cache(maxsize=None)
-def _f_critical(dfn: int, dfd: int) -> float:
-    """The upper GROWTH_ALPHA quantile of the F(dfn, dfd) distribution.
+def _incomplete_beta(a: float, b: float, y: float) -> float:
+    """I_y(a, b), the regularized incomplete beta function, for 0 <= y <= 1.
 
-    Newton's method on log P(F > f) over log f, from f = 1. log F has a
-    log-concave density, so log P(F > f) is concave in log f and the
-    iteration converges from any start, after at most one overshoot. It stops
-    once a step moves f by less than 1e-9 relative: the step converges
-    quadratically, so the last one leaves only the error of the tail itself.
-    For dfn <= 8 it is within 1e-14 relative of the exact quantile up to
-    dfd = 100 and within 1e-13 up to dfd = 3,000: the continued fraction loses
-    digits about linearly in the larger of dfd and dfn.
-    """
-    f = 1.0
-    for _ in range(100):
-        tail, slope = _f_upper_tail(dfn, dfd, f)
-        step = math.log(tail / GROWTH_ALPHA) * tail / slope
-        f *= math.exp(step)
-        if abs(step) < 1e-9:
-            return f
-    raise ArithmeticError(f"F({dfn}, {dfd}) quantile did not converge")
-
-
-def _f_upper_tail(dfn: int, dfd: int, f: float) -> tuple[float, float]:
-    """P(F > f) for F(dfn, dfd), and minus its derivative in log f.
-
-    P(F > f) = I_y(a, b), the regularized incomplete beta function at
-    y = dfd / (dfd + dfn f) with a = dfd / 2, b = dfn / 2, and its derivative
-    in log f is -y^a x^b / B(a, b) with x = 1 - y. I_y comes from its continued
-    fraction in y where y < (a + 1) / (a + b + 2) and it converges fast, else
+    With x = 1 - y, exact for y >= 1/2, it comes from the continued fraction
+    in y where y < (a + 1) / (a + b + 2) and the fraction converges fast, else
     as 1 - I_x(b, a) from the continued fraction in x.
     """
-    a, b = 0.5 * dfd, 0.5 * dfn
-    ratio = dfn * f / dfd
-    y, x = 1.0 / (1.0 + ratio), ratio / (1.0 + ratio)
-    slope = math.exp(-(a + b) * math.log1p(ratio) + b * math.log(ratio) - _log_beta(a, b))
+    x = 1.0 - y
+    front = y**a * x**b / math.exp(_log_beta(a, b))
     if y < (a + 1.0) / (a + b + 2.0):
-        return slope * _beta_fraction(a, b, y, x) / a, slope
-    return 1.0 - slope * _beta_fraction(b, a, x, y) / b, slope
+        return front * _beta_fraction(a, b, y, x) / a
+    return 1.0 - front * _beta_fraction(b, a, x, y) / b
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -228,17 +200,18 @@ def _significant(current: FitResult, candidate: FitResult, series: RatioSeries) 
 
     Never when the current fit is perfect (its weighted SSE at most
     _PERFECT_FIT_REL of the weighted response energy) or when the candidate
-    leaves no residual degree of freedom. A candidate that does not lower the
-    SSE has F <= 0, and a NaN SSE gives a NaN F: neither replaces the choice.
+    leaves no residual degree of freedom. Else when P(F > F_obs) < GROWTH_ALPHA,
+    a tail that is I_y(dfd / 2, dfn / 2) at y = SSE_candidate / SSE_current
+    (Abramowitz and Stegun 26.6.2). A candidate with zero SSE always replaces
+    the choice; one that does not lower the SSE, or has a NaN SSE, never does.
     """
     energy = float(np.sum(current.weights * series.ratio**2))
     dfn = candidate.model.n_coef - current.model.n_coef
     dfd = len(series) - candidate.model.n_coef
     if current.weighted_sse <= _PERFECT_FIT_REL * energy or dfd < 1:
         return False
-    improvement = current.weighted_sse - candidate.weighted_sse
-    f_stat = (improvement / dfn) / max(candidate.weighted_sse / dfd, 1e-300)
-    return f_stat > _f_critical(dfn, dfd)
+    y = candidate.weighted_sse / current.weighted_sse
+    return y < 1.0 and _incomplete_beta(dfd / 2, dfn / 2, y) < GROWTH_ALPHA
 
 
 def _choose(

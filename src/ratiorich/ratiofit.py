@@ -384,9 +384,10 @@ def _variable_projection(
     once at most half still step, the only way out of them. A round where any
     row moved rebuilds every held row's Newton system, the same bits at an
     unchanged d. When every held row improves, the trial arrays are taken
-    whole. estimate-cli's p50 and p90 are 16.9 and 27.8 ms, against 18.3 and
-    31.6 with per-series LAPACK and a whole-array path for stretches
-    (bench/run.py, 5 pairs, 2-CPU host).
+    whole, with the same bits as put/take: 120 `estimate --estimator all`
+    calls on short, Table-1, long-tailed and abundance tables take a median
+    2.02 s of process time this way and 2.23 s with put/take alone (24
+    alternating fresh processes, 2-CPU host).
     Returns per series the final d, c, iterations and converged flag, and a
     singular flag for a series whose damped system could not be solved or
     whose start has D vanishing on the data (other entries then meaningless).
@@ -572,24 +573,22 @@ def _fit_rows(
 
     d = np.zeros((size, q + 1))
     d[:, 0] = 1.0
-    alive = np.arange(size)
     iterations = np.zeros(size, dtype=int)
+    # a series singular in one pass gets NaN weights for the rest, which
+    # _project reads as an infinite SSE: it is frozen before its first step
+    failed = np.zeros(size, dtype=bool)
     for pass_index in range(REWEIGHT_PASSES):
         if pass_index:
             m = np.matmul(vn, c[:, :, None]) / np.matmul(vd, d[:, :, None])
             w = 1.0 / (np.maximum(np.abs(m[:, :, 0]), _RATIO_FLOOR) ** 2 * inverse_counts)
+        w[failed] = np.nan
         d, c, steps, converged, singular = _variable_projection(d, vn, vd, r, w)
-        keep = ~singular
-        alive, d, c, converged, w = alive[keep], d[keep], c[keep], converged[keep], w[keep]
-        vn, vd, r, inverse_counts = vn[keep], vd[keep], r[keep], inverse_counts[keep]
-        iterations = iterations[keep] + steps[keep]
-    fits = _fit_results(
-        [batch[i] for i in alive], p, q, (c, d, w, vn, vd, r), iterations, converged
-    )
-    done = dict(zip(alive.tolist(), fits))
+        failed |= singular
+        iterations += steps
+    fits = _fit_results(batch, p, q, (c, d, w, vn, vd, r), iterations, converged)
     return [
-        done[i] if i in done else RankDeficiencyError("singular normal equations")
-        for i in range(size)
+        RankDeficiencyError("singular normal equations") if bad else fit
+        for bad, fit in zip(failed.tolist(), fits)
     ]
 
 

@@ -409,6 +409,16 @@ class CurveRow:
     failures: int
 
 
+def _check_curve_arguments(fractions: Sequence[float], reps: int) -> None:
+    """Raise ValueError for no fractions, a fraction outside (0, 1] or reps below 1."""
+    if not fractions:
+        raise ValueError("no fractions given")
+    if any(not (0.0 < x <= 1.0) for x in fractions):
+        raise ValueError("fractions must lie in (0, 1]")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+
+
 def subsample_curve(
     abundances: Sequence[int],
     fractions: Sequence[float],
@@ -430,14 +440,9 @@ def subsample_curve(
     if counts.size == 0 or np.any(counts < 1):
         raise ValueError("abundances must be positive integers")
     fracs = [float(x) for x in fractions]
-    if not fracs:
-        raise ValueError("no fractions given")
-    if any(not (0.0 < x <= 1.0) for x in fracs):
-        raise ValueError("fractions must lie in (0, 1]")
+    _check_curve_arguments(fracs, reps)
     if any(b < a for a, b in zip(fracs, fracs[1:])):
         raise ValueError("fractions must be sorted ascending")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     if estimators is None:
         estimators = tuple(ESTIMATORS)
     _check_names(estimators)

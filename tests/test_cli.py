@@ -255,12 +255,21 @@ class TestRarefy:
         assert code == 1
         assert "abundance-format" in err
 
-    def test_out_of_range_fraction_exit_1(self, capsys, abundance_file):
+    @pytest.mark.parametrize(
+        "arguments, error",
+        [
+            (["--fractions", "0.0,1.0"], "error: fractions must lie in (0, 1]"),
+            (["--fractions", ","], "error: no fractions given"),
+            (["--fractions", "1.0", "--reps", "0"], "error: reps must be >= 1"),
+        ],
+        ids=["fraction 0", "no fractions", "reps 0"],
+    )
+    def test_out_of_range_fraction_exit_1(self, capsys, abundance_file, arguments, error):
         code, _, err = run_cli(
-            capsys,
-            ["rarefy", "--input", abundance_file, "--fractions", "0.0,1.0", "--seed", "1"],
+            capsys, ["rarefy", "--input", abundance_file, *arguments, "--seed", "1"]
         )
         assert code == 1
+        assert err == error + "\n"  # one error line, no config echo
 
 
 class TestRejectedBeforeRunning:

@@ -19,7 +19,7 @@ from ratiorich.estimators import (
     NoAdmissibleModelError,
     RichnessEstimate,
     _estimate_batch,
-    _f_critical,
+    _incomplete_beta,
     breakaway,
     breakaway_nof1,
     chao1,
@@ -146,6 +146,19 @@ F_WALK_CASES = {
     ),
     "perfect fit at (1,0) stops the walk": (
         12, {(1, 0): 1e-13, (2, 1): 0.0, (3, 2): 0.0, (4, 3): 0.0},
+        ["accepted", "not-selected", "not-selected", "not-selected"],
+    ),
+    "a perfect candidate supersedes an imperfect choice": (
+        12, {(1, 0): 1.0, (2, 1): 0.0, (3, 2): 0.0, (4, 3): 0.0},
+        ["superseded", "accepted", "not-selected", "not-selected"],
+    ),
+    # (2,1) against (1,0) on 12 points has dfn = 2 and dfd = 8: its F tail is y^4
+    "an F tail just below GROWTH_ALPHA supersedes (0.46^4 = 0.045)": (
+        12, {(1, 0): 1.0, (2, 1): 0.46, (3, 2): 0.46, (4, 3): 0.46},
+        ["superseded", "accepted", "not-selected", "not-selected"],
+    ),
+    "an F tail just above GROWTH_ALPHA does not (0.485^4 = 0.055)": (
+        12, {(1, 0): 1.0, (2, 1): 0.485, (3, 2): 1.0, (4, 3): 1.0},
         ["accepted", "not-selected", "not-selected", "not-selected"],
     ),
     "no improvement in the SSE": (
@@ -358,26 +371,42 @@ class TestJointBatch:
         assert sum(seconds.values()) <= elapsed
 
 
+def old_f_rule(current, candidate, series):
+    """The nested F test as an F statistic against scipy's F(dfn, dfd) quantile."""
+    energy = float(np.sum(current.weights * series.ratio**2))
+    dfn = candidate.model.n_coef - current.model.n_coef
+    dfd = len(series) - candidate.model.n_coef
+    if current.weighted_sse <= estimators._PERFECT_FIT_REL * energy or dfd < 1:
+        return False
+    improvement = current.weighted_sse - candidate.weighted_sse
+    f_stat = (improvement / dfn) / max(candidate.weighted_sse / dfd, 1e-300)
+    return f_stat > special.fdtri(dfn, dfd, 1.0 - GROWTH_ALPHA)
+
+
 class TestFCritical:
-    def test_equals_scipy_stats_quantile(self):
+    """The nested F test: P(F > F_obs) = I_y(dfd/2, dfn/2) at y = SSE_candidate / SSE_current."""
+
+    def test_tail_equals_scipy_betainc(self):
         for dfn in range(1, 9):
             for dfd in (*range(1, 60), 100, 257, 1000, 2999):
-                want = float(stats.f.ppf(1.0 - GROWTH_ALPHA, dfn, dfd))
-                assert math.isclose(_f_critical(dfn, dfd), want, rel_tol=1e-12), (dfn, dfd)
+                quantile = float(stats.f.ppf(1.0 - GROWTH_ALPHA, dfn, dfd))
+                for f in (quantile, 0.5, 1.0, 2.0, 5.0):
+                    y = dfd / (dfd + dfn * f)
+                    want = float(special.betainc(dfd / 2, dfn / 2, y))
+                    got = _incomplete_beta(dfd / 2, dfn / 2, y)
+                    assert math.isclose(got, want, rel_tol=1e-12), (dfn, dfd, f)
 
     def test_closed_forms(self):
-        assert GROWTH_ALPHA == 0.05
-        assert math.isclose(_f_critical(1, 2), 722 / 39, rel_tol=1e-14)
-        # F(1, 1) is the square of the Cauchy quantile at 1 - alpha/2
-        assert math.isclose(_f_critical(1, 1), math.tan(math.pi / 40) ** -2, rel_tol=1e-14)
-        for dfd in (*range(1, 60), 100, 257, 1000, 2999):
-            # P(F > f) = y^(dfd/2) for dfn = 2
-            want = dfd / 2 * math.expm1(-2 / dfd * math.log(GROWTH_ALPHA))
-            assert math.isclose(_f_critical(2, dfd), want, rel_tol=1e-14), dfd
-        for dfn in range(1, 9):
-            # P(F > f) = 1 - x^(dfn/2) for dfd = 2
-            want = 2 / dfn / math.expm1(-2 / dfn * math.log1p(-GROWTH_ALPHA))
-            assert math.isclose(_f_critical(dfn, 2), want, rel_tol=1e-14), dfn
+        for y in (1e-3, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999):
+            for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 50.0):
+                assert math.isclose(_incomplete_beta(a, 1.0, y), y**a, rel_tol=1e-14), (a, y)
+                # 1 - (1 - y)^a, without the cancellation
+                want = -math.expm1(a * math.log1p(-y))
+                assert math.isclose(_incomplete_beta(1.0, a, y), want, rel_tol=1e-14), (a, y)
+            want = 2 / math.pi * math.asin(math.sqrt(y))
+            assert math.isclose(_incomplete_beta(0.5, 0.5, y), want, rel_tol=1e-14), y
+        assert _incomplete_beta(3.0, 2.0, 0.0) == 0.0
+        assert _incomplete_beta(3.0, 2.0, 1.0) == 1.0
 
     def test_selection_is_the_same_under_scipy_quantiles(self, monkeypatch):
         tables = []
@@ -409,12 +438,14 @@ class TestFCritical:
         outcomes = [outcome for tried in ours[0] for _, _, outcome in tried]
         # the F test both grew and held the model many times
         assert min(outcomes.count("superseded"), outcomes.count("not-selected")) >= 50
-        monkeypatch.setattr(
-            estimators,
-            "_f_critical",
-            lambda dfn, dfd: float(special.fdtri(dfn, dfd, 1.0 - GROWTH_ALPHA)),
-        )
-        assert run() == ours
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                estimators, "_incomplete_beta", lambda a, b, y: float(special.betainc(a, b, y))
+            )
+            assert run() == ours
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_significant", old_f_rule)
+            assert run() == ours
 
     def test_package_import_leaves_scipy_stats_unloaded(self, tmp_path):
         counts = sample_nb_counts(5000, 500, 0.99, replicate_rng(20260809, 0))
@@ -422,9 +453,11 @@ class TestFCritical:
         path.write_text(serialize_frequency_table(truncate_to_observed(counts)))
         code = (
             "import sys, ratiorich, ratiorich.cli\n"
+            "from ratiorich import estimators\n"
+            "tail, tails = estimators._incomplete_beta, []\n"
+            "estimators._incomplete_beta = lambda *args: tails.append(args) or tail(*args)\n"
             f"code = ratiorich.cli.main(['estimate', '--input', {str(path)!r}, '--estimator', 'all'])\n"
-            "from ratiorich.estimators import _f_critical\n"
-            "print(code, _f_critical.cache_info().currsize > 0,"
+            "print(code, len(tails) > 0,"
             " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(ratiorich.__file__).parents[1])}

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from numpy.linalg._umath_linalg import inv, qr_r_raw, qr_reduced, solve1
 from scipy.linalg import lapack
 
+from ratiorich import ratiofit
 from ratiorich.freqtab import InsufficientDataError
 from ratiorich.estimators import LADDER, NoAdmissibleModelError, _select_batch, select_model
 from ratiorich.ratiofit import (
+    REWEIGHT_PASSES,
+    FitResult,
     RankDeficiencyError,
     RationalModel,
     RatioSeries,
@@ -450,6 +453,30 @@ class TestKernelSingularRows:
                 assert converged[i] and iterations[i] > 1
                 for got, want in zip(together, one):
                     assert np.array_equal(got[i], want[0])
+
+    def test_series_singular_in_a_later_pass_fails_alone(self, monkeypatch):
+        series = TestBatchedFit.mixed_series()[:6]
+        assert {-(-len(s) // 8) for s in series} == {2}  # one padded group
+        kernel, passes = ratiofit._variable_projection, []
+
+        def singular_on_pass_2(*arrays):
+            out = kernel(*arrays)
+            passes.append(out)
+            if len(passes) == 2:
+                out[4][2] = True
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ratiofit, "_variable_projection", singular_on_pass_2)
+            fits = _fit_batch(series, 2, 1)
+        assert len(passes) == REWEIGHT_PASSES
+        assert type(fits[2]) is RankDeficiencyError
+        assert str(fits[2]) == "singular normal equations"
+        for i, s in enumerate(series):
+            if i != 2:
+                alone = _fit_or_error(s, 2, 1)
+                assert isinstance(alone, FitResult)
+                assert_same_fit(alone, fits[i])
 
 
 class TestJacobian:
