@@ -97,60 +97,20 @@ class NoAdmissibleModelError(RuntimeError):
         self.trace = trace
 
 
-def _incomplete_beta(a: float, b: float, y: float) -> float:
-    """I_y(a, b), the regularized incomplete beta function, for 0 <= y <= 1.
+def _f_tail(dfn: int, dfd: int, y: float) -> float:
+    """P(F > F_obs) for F(dfn, dfd) with even dfn, at y = dfd / (dfd + dfn F_obs).
 
-    With x = 1 - y, exact for y >= 1/2, it comes from the continued fraction
-    in y where y < (a + 1) / (a + b + 2) and the fraction converges fast, else
-    as 1 - I_x(b, a) from the continued fraction in x.
+    The tail is I_y(dfd / 2, dfn / 2), a finite sum for even dfn (Abramowitz
+    and Stegun 26.6.4): y^(dfd/2) sum_{i < dfn/2} (dfd/2)_i / i! (1 - y)^i.
+    Every pair of LADDER rungs differs by an even number of coefficients.
     """
-    x = 1.0 - y
-    front = y**a * x**b / math.exp(_log_beta(a, b))
-    if y < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_fraction(a, b, y, x) / a
-    return 1.0 - front * _beta_fraction(b, a, x, y) / b
-
-
-def _log_beta(a: float, b: float) -> float:
-    """log B(a, b), to a few units of 1e-16 absolute where min(a, b) is small."""
-    small, big = sorted((a, b))
-    if small + big < 171.0:  # no Gamma overflows
-        return math.log(math.gamma(small) / math.gamma(small + big) * math.gamma(big))
-
-    def stirling(z: float) -> float:  # log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2
-        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z * z)) / (z * z)) / z
-
-    total = small + big
-    return (
-        math.lgamma(small)
-        - (big - 0.5) * math.log1p(small / big)
-        - small * math.log(total)
-        + small
-        + stirling(big)
-        - stirling(total)
-    )
-
-
-def _beta_fraction(a: float, b: float, z: float, zc: float) -> float:
-    """I_z(a, b) a B(a, b) / (z^a zc^b), zc = 1 - z, by its continued fraction.
-
-    Evaluated by Lentz's method (Numerical Recipes, 3rd ed., 6.4).
-    The first denominator, 1 - (a + b) z / (a + 1), is formed from zc so it
-    keeps its digits when z is close to 1.
-    """
-    c, d = 1.0, (a + 1.0) / ((a + 1.0) * zc + (1.0 - b) * z)
-    h = d
-    for m in range(1, 10_000):
-        for term in (
-            m * (b - m) * z / ((a + 2 * m - 1.0) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * z / ((a + 2 * m) * (a + 2 * m + 1.0)),
-        ):
-            d = 1.0 / (1.0 + term * d)
-            c = 1.0 + term / c
-            h *= d * c
-        if abs(d * c - 1.0) <= 2.0**-52:
-            return h
-    raise ArithmeticError("the incomplete beta continued fraction did not converge")
+    if dfn % 2:
+        raise ValueError(f"the F tail is a finite sum only for even dfn, got {dfn}")
+    term = total = 1.0
+    for i in range(1, dfn // 2):
+        term *= (dfd / 2 + i - 1) / i * (1.0 - y)
+        total += term
+    return y ** (dfd / 2) * total
 
 
 def _denominator_values(model: RationalModel, grid: np.ndarray) -> np.ndarray:
@@ -202,8 +162,9 @@ def _significant(current: FitResult, candidate: FitResult, series: RatioSeries) 
     _PERFECT_FIT_REL of the weighted response energy) or when the candidate
     leaves no residual degree of freedom. Else when P(F > F_obs) < GROWTH_ALPHA,
     a tail that is I_y(dfd / 2, dfn / 2) at y = SSE_candidate / SSE_current
-    (Abramowitz and Stegun 26.6.2). A candidate with zero SSE always replaces
-    the choice; one that does not lower the SSE, or has a NaN SSE, never does.
+    (Abramowitz and Stegun 26.6.2), summed by _f_tail. A candidate with zero
+    SSE always replaces the choice; one that does not lower the SSE, or has a
+    NaN SSE, never does.
     """
     energy = float(np.sum(current.weights * series.ratio**2))
     dfn = candidate.model.n_coef - current.model.n_coef
@@ -211,7 +172,7 @@ def _significant(current: FitResult, candidate: FitResult, series: RatioSeries) 
     if current.weighted_sse <= _PERFECT_FIT_REL * energy or dfd < 1:
         return False
     y = candidate.weighted_sse / current.weighted_sse
-    return y < 1.0 and _incomplete_beta(dfd / 2, dfn / 2, y) < GROWTH_ALPHA
+    return y < 1.0 and _f_tail(dfn, dfd, y) < GROWTH_ALPHA
 
 
 def _choose(
@@ -273,10 +234,11 @@ def select_model(
     unseen count is positive; with require_f1 the predicted singleton count
     must also be positive (b > 0). Among admissible rungs, walking the ladder
     upward, a larger model supersedes the current choice only when the nested
-    F statistic on their weighted SSEs exceeds the GROWTH_ALPHA critical
-    value. Each fit's SSE is taken under its own final weights, so the test
-    is a selection guide rather than exact inference. This is _select_batch
-    for a batch of one, fitting each rung through fit_wnls.
+    F test on their weighted SSEs is significant: its tail P(F > F_obs), taken
+    at y = SSE_candidate / SSE_current, is below GROWTH_ALPHA. Each fit's SSE
+    is taken under its own final weights, so the test is a selection guide
+    rather than exact inference. This is _select_batch for a batch of one,
+    fitting each rung through fit_wnls.
     """
     outcome = _select_batch([series], [require_f1], _fit_each)[0]
     if isinstance(outcome, NoAdmissibleModelError):

@@ -144,42 +144,40 @@ class RatioSeries:
     """Regression dataset of frequency ratios r_j = f_{j+1}/f_j.
 
     count_lo / count_hi hold the (f_j, f_{j+1}) pairs backing each point;
-    the reweighting rule needs them. weight is validated (finite, positive)
-    but fit_wnls never reads it: every pass's weights come from count_lo and
-    count_hi, evaluated at the observed and then at the fitted ratios.
+    every fit pass's weights come from them, evaluated at the observed and
+    then at the fitted ratios. Ratios and counts must be finite and positive.
     """
 
     j: np.ndarray
     ratio: np.ndarray
-    weight: np.ndarray
     count_lo: np.ndarray
     count_hi: np.ndarray
 
     def __post_init__(self) -> None:
         self.j = np.asarray(self.j, dtype=int)
         self.ratio = np.asarray(self.ratio, dtype=float)
-        self.weight = np.asarray(self.weight, dtype=float)
         self.count_lo = np.asarray(self.count_lo, dtype=float)
         self.count_hi = np.asarray(self.count_hi, dtype=float)
         n = self.j.size
-        sizes = {self.ratio.size, self.weight.size, self.count_lo.size, self.count_hi.size}
+        sizes = {self.ratio.size, self.count_lo.size, self.count_hi.size}
         if sizes != {n}:
             raise ValueError("ratio series arrays must have equal length")
         if n == 0:
             raise ValueError("empty ratio series")
         if np.any(np.diff(self.j) <= 0):
             raise ValueError("count values must be strictly increasing")
-        if np.any(self.ratio <= 0):
-            raise ValueError("ratios must be positive")
-        if np.any(~np.isfinite(self.weight)) or np.any(self.weight <= 0):
-            raise ValueError("weights must be finite and positive")
+        if not np.all(np.isfinite(self.ratio) & (self.ratio > 0)):
+            raise ValueError("ratios must be finite and positive")
+        counts = np.concatenate((self.count_lo, self.count_hi))
+        if not np.all(np.isfinite(counts) & (counts > 0)):
+            raise ValueError("counts must be finite and positive")
 
     def __len__(self) -> int:
         return int(self.j.size)
 
 
 def build_ratio_series(table: FrequencyCountTable, j_min: int) -> RatioSeries:
-    """One point per j in [j_min, J]: r_j = f_{j+1}/f_j, unit initial weights.
+    """One point per j in [j_min, J]: r_j = f_{j+1}/f_j.
 
     J comes from tail_cutoff, so insufficient data propagates from there.
     """
@@ -187,7 +185,7 @@ def build_ratio_series(table: FrequencyCountTable, j_min: int) -> RatioSeries:
     js = np.arange(j_min, big_j + 1)
     lo = np.array([table.get(int(j)) for j in js], dtype=float)
     hi = np.array([table.get(int(j) + 1) for j in js], dtype=float)
-    return RatioSeries(j=js, ratio=hi / lo, weight=np.ones(js.size), count_lo=lo, count_hi=hi)
+    return RatioSeries(j=js, ratio=hi / lo, count_lo=lo, count_hi=hi)
 
 
 class FittingChart(NamedTuple):

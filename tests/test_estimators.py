@@ -19,7 +19,7 @@ from ratiorich.estimators import (
     NoAdmissibleModelError,
     RichnessEstimate,
     _estimate_batch,
-    _incomplete_beta,
+    _f_tail,
     breakaway,
     breakaway_nof1,
     chao1,
@@ -387,26 +387,30 @@ class TestFCritical:
     """The nested F test: P(F > F_obs) = I_y(dfd/2, dfn/2) at y = SSE_candidate / SSE_current."""
 
     def test_tail_equals_scipy_betainc(self):
-        for dfn in range(1, 9):
+        for dfn in (2, 4, 6, 8):
             for dfd in (*range(1, 60), 100, 257, 1000, 2999):
                 quantile = float(stats.f.ppf(1.0 - GROWTH_ALPHA, dfn, dfd))
                 for f in (quantile, 0.5, 1.0, 2.0, 5.0):
                     y = dfd / (dfd + dfn * f)
                     want = float(special.betainc(dfd / 2, dfn / 2, y))
-                    got = _incomplete_beta(dfd / 2, dfn / 2, y)
+                    got = _f_tail(dfn, dfd, y)
                     assert math.isclose(got, want, rel_tol=1e-12), (dfn, dfd, f)
 
     def test_closed_forms(self):
-        for y in (1e-3, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999):
-            for a in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 50.0):
-                assert math.isclose(_incomplete_beta(a, 1.0, y), y**a, rel_tol=1e-14), (a, y)
-                # 1 - (1 - y)^a, without the cancellation
-                want = -math.expm1(a * math.log1p(-y))
-                assert math.isclose(_incomplete_beta(1.0, a, y), want, rel_tol=1e-14), (a, y)
-            want = 2 / math.pi * math.asin(math.sqrt(y))
-            assert math.isclose(_incomplete_beta(0.5, 0.5, y), want, rel_tol=1e-14), y
-        assert _incomplete_beta(3.0, 2.0, 0.0) == 0.0
-        assert _incomplete_beta(3.0, 2.0, 1.0) == 1.0
+        for dfd in (1, 2, 3, 10, 33, 2999):
+            for y in (1e-3, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999):
+                assert _f_tail(2, dfd, y) == y ** (dfd / 2), (dfd, y)
+            for dfn in (2, 4, 6):
+                assert _f_tail(dfn, dfd, 0.0) == 0.0
+                assert _f_tail(dfn, dfd, 1.0) == 1.0
+        for dfn in (1, 3):
+            with pytest.raises(ValueError, match="even"):
+                _f_tail(dfn, 10, 0.5)
+
+    def test_ladder_rungs_differ_by_even_coefficient_counts(self):
+        # _f_tail needs an even dfn for every pair the F walk can compare
+        sizes = [RationalModel((1.0,) * (p + 1), (0.0,) * q).n_coef for p, q in LADDER]
+        assert len({n % 2 for n in sizes}) == 1, sizes
 
     def test_selection_is_the_same_under_scipy_quantiles(self, monkeypatch):
         tables = []
@@ -440,7 +444,9 @@ class TestFCritical:
         assert min(outcomes.count("superseded"), outcomes.count("not-selected")) >= 50
         with monkeypatch.context() as patch:
             patch.setattr(
-                estimators, "_incomplete_beta", lambda a, b, y: float(special.betainc(a, b, y))
+                estimators,
+                "_f_tail",
+                lambda dfn, dfd, y: float(special.betainc(dfd / 2, dfn / 2, y)),
             )
             assert run() == ours
         with monkeypatch.context() as patch:
@@ -454,8 +460,8 @@ class TestFCritical:
         code = (
             "import sys, ratiorich, ratiorich.cli\n"
             "from ratiorich import estimators\n"
-            "tail, tails = estimators._incomplete_beta, []\n"
-            "estimators._incomplete_beta = lambda *args: tails.append(args) or tail(*args)\n"
+            "tail, tails = estimators._f_tail, []\n"
+            "estimators._f_tail = lambda *args: tails.append(args) or tail(*args)\n"
             f"code = ratiorich.cli.main(['estimate', '--input', {str(path)!r}, '--estimator', 'all'])\n"
             "print(code, len(tails) > 0,"
             " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

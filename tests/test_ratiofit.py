@@ -48,7 +48,7 @@ def series_from_points(points, counts=None):
     else:
         lo = np.array([c[0] for c in counts], dtype=float)
         hi = np.array([c[1] for c in counts], dtype=float)
-    return RatioSeries(j=j, ratio=r, weight=ones, count_lo=lo, count_hi=hi)
+    return RatioSeries(j=j, ratio=r, count_lo=lo, count_hi=hi)
 
 
 class TestBuildRatioSeries:
@@ -56,7 +56,6 @@ class TestBuildRatioSeries:
         s = build_ratio_series(table({2: 64, 3: 32, 4: 16, 5: 8, 6: 4}), 2)
         assert list(s.j) == [2, 3, 4, 5]
         assert np.allclose(s.ratio, 0.5)
-        assert np.all(s.weight == 1.0)
 
     def test_from_singletons(self):
         s = build_ratio_series(
@@ -533,15 +532,23 @@ class TestRatioSeriesValidation:
         with pytest.raises(ValueError, match="positive"):
             series_from_points([(2, 0.5), (3, -0.1), (4, 0.5), (5, 0.5)])
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError, match="weights"):
-            RatioSeries(
-                j=np.array([2, 3]),
-                ratio=np.array([0.5, 0.5]),
-                weight=np.array([1.0, np.inf]),
-                count_lo=np.ones(2),
-                count_hi=np.ones(2),
-            )
+    @pytest.mark.parametrize("side", [0, 1], ids=["count_lo", "count_hi"])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -3.0, np.inf, np.nan], ids=["zero", "negative", "inf", "nan"]
+    )
+    def test_rejects_bad_counts(self, bad, side):
+        # a zero count would give its point weight 0 yet still count toward
+        # the degrees of freedom; a negative one makes the normal equations singular
+        counts = [(2.0, 1.0)] * 4
+        counts[1] = (bad, 1.0) if side == 0 else (2.0, bad)
+        points = [(2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5)]
+        with pytest.raises(ValueError, match="counts"):
+            series_from_points(points, counts)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite_ratio(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            series_from_points([(2, 0.5), (3, bad), (4, 0.5), (5, 0.5)])
 
     def test_rejects_decreasing_j(self):
         with pytest.raises(ValueError, match="increasing"):
