@@ -221,19 +221,23 @@ def cmd_simulate(args) -> tuple[dict, Callable[[], int]]:
     return resolved, run
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated items of a list flag, each read as kind (int or float)."""
+    out = []
+    for item in filter(None, (x.strip() for x in text.split(","))):
+        try:
+            out.append(kind(item))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag}: not {noun}: {item!r}") from None
+    return out
 
 
 def cmd_calibrate_se(args) -> tuple[dict, Callable[[], int]]:
     seed = _seed(args)
-    c_list = _parse_int_list(args.C_list)
-    size_list = _parse_int_list(args.size_list)
-    prob_list = _parse_float_list(args.prob_list)
+    c_list = _parse_list(args.C_list, "--C-list", int)
+    size_list = _parse_list(args.size_list, "--size-list", int)
+    prob_list = _parse_list(args.prob_list, "--prob-list", float)
     if not c_list or not size_list or not prob_list:
         raise ValueError("empty parameter list")
     if args.workers < 1:
@@ -323,7 +327,7 @@ def cmd_rarefy(args) -> tuple[dict, Callable[[], int]]:
             "rarefaction requires abundance-format input"
             f" (one positive count per line): {exc}"
         ) from exc
-    requested = _parse_float_list(args.fractions)
+    requested = _parse_list(args.fractions, "--fractions", float)
     simlab._check_curve_arguments(requested, args.reps)
     estimators = _parse_estimator_list(args.estimators)
     seed = _seed(args)

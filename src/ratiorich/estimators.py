@@ -18,8 +18,11 @@ when a nested F comparison of their weighted SSEs is significant, which keeps
 the most parsimonious model that actually fits.
 
 Standard errors come from a first-order delta method over a multinomial model
-for the frequency counts, combining the counts' sampling variance with the
-fitted coefficients' covariance.
+for the frequency counts. Both fitted estimators have C = U + n, with U the
+predicted part (f0, or f0 + f1) and n the observed count they trust; since
+Var(n) = n U / C and Cov(U, n) = -n U / C, Var(C) = Var(U) - n U / C. Var(U)
+combines the sampling variance of the count U is predicted from (f_1 or f_2)
+with the fitted coefficients' covariance.
 """
 
 from __future__ import annotations
@@ -281,11 +284,16 @@ def _breakaway_estimate(table: FrequencyCountTable, fit: FitResult) -> RichnessE
     f1 = table.get(1)
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
-        beta0 = fit.model.beta[0]
+        quantities = derived_quantities(fit)
+        beta0 = quantities.beta0_hat
         f0_hat = f1 / beta0
         c = observed_richness(table)
         c_hat = f0_hat + c
-        se = _breakaway_standard_error(fit, f1, c, f0_hat)
+        var_f0 = (
+            f1 * (c_hat - f1) / (c_hat * beta0**2)
+            + (f0_hat / beta0) ** 2 * quantities.var_beta0
+        )
+        se = _total_se(var_f0, f0_hat, c, c_hat)
     notes = [str(w.message) for w in captured]
     return RichnessEstimate(
         estimator="breakaway",
@@ -310,25 +318,9 @@ def breakaway(table: FrequencyCountTable) -> RichnessEstimate:
     return _breakaway_estimate(table, fit)
 
 
-def _breakaway_standard_error(fit: FitResult, f1: int, c: int, f0_hat: float) -> float:
-    """Delta-method SE for the singleton-using estimator.
-
-    Var(f0) = f1 (C - f1) / (C beta0^2) + f1^2 Var(beta0) / beta0^4 combines
-    the multinomial variance of f1 with the fit's coefficient variance;
-    Var(n') = n' f0 / C and Cov(f0, n') = -f0 n' / C close the 2x2 system over
-    (f0, n') with n' the observed richness. A negative total is clamped to
-    zero with a warning.
-    """
-    quantities = derived_quantities(fit)
-    beta0 = quantities.beta0_hat
-    c_hat = f0_hat + c
-    var_f0 = (
-        f1 * (c_hat - f1) / (c_hat * beta0**2)
-        + f1**2 * quantities.var_beta0 / beta0**4
-    )
-    var_n = c * f0_hat / c_hat
-    cov_f0_n = -f0_hat * c / c_hat
-    var_c = var_f0 + var_n + 2.0 * cov_f0_n
+def _total_se(var_u: float, u: float, n: float, c_hat: float) -> float:
+    """sqrt(Var(C)) for C = U + n: Var(U) - n U / C, clamped at zero with a warning."""
+    var_c = var_u - n * u / c_hat
     if var_c < 0.0:
         warnings.warn("negative variance estimate clamped")
         return 0.0
@@ -383,41 +375,29 @@ def nof1_standard_error(
 ) -> float:
     """Delta-method SE for the singleton-free estimator.
 
-    C = f0 + f1 + n with n = sum_{j>=2} f_j, so Var(C) sums the full 3x3
-    covariance of (f0, f1, n). The upper 2x2 block propagates the multinomial
-    variance of f_2 and the fit covariance of (beta0, b) through
-    f1 = f_2/b and f0 = f_2/(beta0 b); the remaining terms are the multinomial
-    plug-ins Var(n) = n (f0 + f1)/C, Cov(f0, n) = -f0 n / C and
-    Cov(f1, n) = -f1 n / C. A negative total is clamped to zero with a warning.
+    C = U + n with U = f0 + f1 = f_2 (1 + beta0) / (beta0 b) and
+    n = sum_{j>=2} f_j, so Var(C) = Var(U) - n U / C with U = f0_hat + f1_hat;
+    this equals the sum of the full 3x3 covariance of (f0, f1, n). Var(U)
+    propagates the multinomial variance f_2 (C - f_2) / C of f_2 and the fit
+    covariance of (beta0, b) through the gradient of U. A negative total is
+    clamped to zero with a warning.
     """
     quantities = derived_quantities(fit)
     beta0 = quantities.beta0_hat
     b = quantities.b_hat
     f2 = float(table.get(2))
     n = float(_count_at_least(table, 2))
-    c_hat = f0_hat + f1_hat + n
-
-    var_f0 = (
-        f2 * (c_hat - f2) / (c_hat * beta0**2 * b**2)
-        + f2**2 * quantities.var_beta0 / (beta0**4 * b**2)
-        + 2.0 * f2**2 * quantities.cov_b_beta0 / (beta0**3 * b**3)
-        + f2**2 * quantities.var_b / (beta0**2 * b**4)
+    u = f0_hat + f1_hat
+    c_hat = u + n
+    du_df2 = (1.0 + beta0) / (beta0 * b)
+    du_dbeta0, du_db = -f2 / (beta0**2 * b), -f2 * du_df2 / b
+    var_u = (
+        f2 * (c_hat - f2) / c_hat * du_df2**2
+        + du_dbeta0**2 * quantities.var_beta0
+        + 2.0 * du_dbeta0 * du_db * quantities.cov_b_beta0
+        + du_db**2 * quantities.var_b
     )
-    cov_f0_f1 = (
-        f2 * (c_hat - f2) / (c_hat * beta0 * b**2)
-        + f2**2 * quantities.cov_b_beta0 / (beta0**2 * b**3)
-        + f2**2 * quantities.var_b / (beta0 * b**4)
-    )
-    var_f1 = f2 * (c_hat - f2) / (c_hat * b**2) + f2**2 * quantities.var_b / b**4
-    var_n = n * (f0_hat + f1_hat) / c_hat
-    cov_f0_n = -f0_hat * n / c_hat
-    cov_f1_n = -f1_hat * n / c_hat
-
-    var_c = var_f0 + var_f1 + var_n + 2.0 * (cov_f0_f1 + cov_f0_n + cov_f1_n)
-    if var_c < 0.0:
-        warnings.warn("negative variance estimate clamped")
-        return 0.0
-    return math.sqrt(var_c)
+    return _total_se(var_u, u, n, c_hat)
 
 
 def chao1(table: FrequencyCountTable) -> RichnessEstimate:

@@ -13,7 +13,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -80,7 +80,8 @@ class SimulationConfig:
     C is the true richness; counts are negative binomial with the given size
     and probability parameters. chimeric_rate is the percentage by which the
     realized singleton count is inflated (100 doubles it, -80 keeps a fifth).
-    The estimators default to every registered one.
+    The estimators default to every registered one. A (size, prob) whose cdf
+    table would pass _PMF_TABLE_CAP entries is rejected with ValueError.
     """
 
     C: int
@@ -108,6 +109,7 @@ class SimulationConfig:
             raise ValueError("trim must lie in [0, 0.5)")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         _check_names(self.estimators)
+        _nb_cdf(self.size, self.prob)
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -121,23 +123,18 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def sample_nb_counts(
-    C: int, size: int, prob: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw C negative-binomial counts by inverse transform.
+@lru_cache(maxsize=16)
+def _nb_cdf(size: int, prob: float) -> np.ndarray:
+    """The negative-binomial cdf at 0, 1, 2, ... as far as a uniform draw can reach.
 
     The pmf starts at P(0) = prob**size and follows the recurrence
-    P(x+1) = P(x) * (1 - prob) * (x + size) / (x + 1); uniforms are located in
-    the accumulated cdf. Zeros are kept: they become the unobserved taxa once
-    the sample is truncated. When P(0) underflows, the walk tracks the log-pmf
-    until the probabilities become representable.
+    P(x+1) = P(x) * (1 - prob) * (x + size) / (x + 1); when P(0) underflows,
+    the walk tracks the log-pmf until the probabilities become representable.
+    The table ends at 1 - 2**-53, the largest uniform Generator.random draws,
+    or where further mass cannot move it: a uniform past its end (measure ~0)
+    maps to the bin past the table. ValueError if it needs more than
+    _PMF_TABLE_CAP entries.
     """
-    if not (0.0 < prob < 1.0):
-        raise ValueError("prob must lie strictly inside (0, 1)")
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    u = rng.random(C)
-    u_max = float(np.max(u))
     q = 1.0 - prob
     log_current = size * math.log(prob)
     current = math.exp(log_current)
@@ -147,22 +144,32 @@ def sample_nb_counts(
     while True:
         total += current
         cdf_values.append(total)
-        if total >= u_max:
-            break
-        if total > 0.0 and current < total * 2.0**-54:
-            # further mass cannot move the accumulated cdf; remaining uniforms
-            # (measure ~0) map to the bin past the table
-            break
+        if total >= 1.0 - 2.0**-53 or (total > 0.0 and current < total * 2.0**-54):
+            return np.asarray(cdf_values)
         if len(cdf_values) > _PMF_TABLE_CAP:
-            raise RuntimeError("negative-binomial cdf table exceeded cap; parameters too extreme")
+            raise ValueError(
+                f"size {size} and prob {prob!r} need a cdf table of over {_PMF_TABLE_CAP} entries"
+            )
         if current > 0.0:
             current *= q * (x + size) / (x + 1)
         else:
             log_current += math.log(q) + math.log(x + size) - math.log(x + 1)
             current = math.exp(log_current)
         x += 1
-    cdf = np.asarray(cdf_values)
-    return np.searchsorted(cdf, u, side="left").astype(np.int64)
+
+
+def sample_nb_counts(C: int, size: int, prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw C negative-binomial counts by inverse transform.
+
+    The uniforms are located in the cdf table of (size, prob), built once and
+    kept for later calls. Zeros are kept: they become the unobserved taxa
+    once the sample is truncated.
+    """
+    if not (0.0 < prob < 1.0):
+        raise ValueError("prob must lie strictly inside (0, 1)")
+    if C < 1:
+        raise ValueError("C must be >= 1")
+    return np.searchsorted(_nb_cdf(size, prob), rng.random(C), side="left").astype(np.int64)
 
 
 def truncate_to_observed(counts: Sequence[int] | np.ndarray) -> FrequencyCountTable:

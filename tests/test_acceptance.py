@@ -56,6 +56,8 @@ def test_criterion_1_exact_ratio_oracle():
 
 
 def test_criterion_2_appendix_formula_oracle():
+    # f2=100, beta0=b=0.5, n=600, zero coefficient covariance: U = f0 + f1 = 600,
+    # C=1200, Var(U) = 3300 and Var(C) = Var(U) - n U/C = 3000
     fit = FitResult(
         model=RationalModel((0.5, 0.0)),
         cov=np.zeros((2, 2)),

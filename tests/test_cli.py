@@ -197,6 +197,28 @@ class TestCalibrateSe:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "lists, error",
+        [
+            (["5000,abc", "500", "0.99"], "error: --C-list: not an integer: 'abc'"),
+            (["5000", "500, 1.5", "0.99"], "error: --size-list: not an integer: '1.5'"),
+            (["5000", "500", "0.9,x"], "error: --prob-list: not a number: 'x'"),
+        ],
+        ids=["C-list", "size-list", "prob-list"],
+    )
+    def test_bad_list_item_exit_1(self, capsys, lists, error):
+        c_list, size_list, prob_list = lists
+        code, out, err = run_cli(
+            capsys,
+            [
+                "calibrate-se", "--C-list", c_list, "--size-list", size_list,
+                "--prob-list", prob_list, "--reps", "10", "--seed", "3",
+            ],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == error + "\n"  # one error line, no config echo
+
     def test_low_replicate_warning(self, capsys):
         code = main(
             [
@@ -261,8 +283,9 @@ class TestRarefy:
             (["--fractions", "0.0,1.0"], "error: fractions must lie in (0, 1]"),
             (["--fractions", ","], "error: no fractions given"),
             (["--fractions", "1.0", "--reps", "0"], "error: reps must be >= 1"),
+            (["--fractions", "0.5,x"], "error: --fractions: not a number: 'x'"),
         ],
-        ids=["fraction 0", "no fractions", "reps 0"],
+        ids=["fraction 0", "no fractions", "reps 0", "not a number"],
     )
     def test_out_of_range_fraction_exit_1(self, capsys, abundance_file, arguments, error):
         code, _, err = run_cli(
@@ -332,6 +355,26 @@ class TestRejectedBeforeRunning:
         assert code == 1
         assert out == ""
         assert err == "error: duplicate estimators: ['nof1']\n"
+
+    # a (size, prob) whose negative-binomial cdf table passes its cap
+    EXTREME_CDF = "error: size 1 and prob 1e-09 need a cdf table of over 10000000 entries\n"
+
+    def test_simulate_extreme_size_and_prob_exit_1_before_echo(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = ["simulate", "--C", "10", "--size", "1", "--prob", "1e-9", "--reps", "1",
+                "--seed", "1", "--out", str(out)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == self.EXTREME_CDF
+        assert not out.exists()
+
+    def test_calibrate_extreme_size_and_prob_exit_1_before_echo(self, capsys):
+        argv = ["calibrate-se", "--C-list", "200", "--size-list", "1", "--prob-list", "1e-9",
+                "--reps", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == self.EXTREME_CDF
 
     def test_simulate_no_estimator_exit_1_before_echo(self, capsys, tmp_path):
         out = tmp_path / "r.csv"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,13 @@ from ratiorich.freqtab import (
     observed_richness,
     serialize_frequency_table,
 )
-from ratiorich.ratiofit import FitResult, RankDeficiencyError, RationalModel, build_ratio_series
+from ratiorich.ratiofit import (
+    FitResult,
+    RankDeficiencyError,
+    RationalModel,
+    build_ratio_series,
+    derived_quantities,
+)
 from ratiorich.simlab import (
     SimulationConfig,
     apply_chimeric_inflation,
@@ -483,8 +490,9 @@ class TestBreakaway:
         assert est.f1_hat is None
 
     def test_exact_geometric_se_closed_form(self):
-        # with zero coefficient covariance the delta-method variance reduces
-        # to f1(C-f1)/(C b0^2) + c f0/C - 2 f0 c / C; for this table = 256
+        # with zero coefficient covariance Var(f0) = f1(C-f1)/(C b0^2), and
+        # Var(C) = Var(f0) - c f0/C, written below as the 2x2 sum
+        # Var(f0) + Var(c) + 2 Cov(f0, c); for this table = 256
         t = table({1: 128, 2: 64, 3: 32, 4: 16, 5: 8})
         est = breakaway(t)
         f1, c, f0, beta0 = 128, 248, 256.0, 0.5
@@ -492,6 +500,16 @@ class TestBreakaway:
         var = f1 * (c_hat - f1) / (c_hat * beta0**2) + c * f0 / c_hat - 2 * f0 * c / c_hat
         assert est.se == pytest.approx(math.sqrt(var), abs=1e-6)
         assert est.se == pytest.approx(16.0, abs=1e-6)
+
+    def test_se_hand_oracle_with_coefficient_covariance(self):
+        # f1=128, c=248, beta0=0.5: f0=256, C=504 and
+        # Var(f0) = f1(C-f1)/(C b0^2) + (f0/b0)^2 Var(b0) = 48128/126 + 262144 * 1e-4;
+        # Var(C) = Var(f0) - c f0/C = 256 + 26.2144
+        t = table({1: 128, 2: 64, 3: 32, 4: 16, 5: 8})
+        fit = synthetic_fit((0.5, 0.0), cov=[[1e-4, 3e-5], [3e-5, 2e-4]])
+        est = estimators._breakaway_estimate(t, fit)
+        assert est.se == pytest.approx(math.sqrt(282.2144), rel=1e-12)
+        assert est.se == pytest.approx(old_breakaway_se(fit, 128, 248, 256.0), rel=1e-13)
 
     def test_missing_singletons_rejected_with_hint(self):
         with pytest.raises(InsufficientDataError) as excinfo:
@@ -589,15 +607,132 @@ class TestBreakawayNof1:
             assert est.se >= 0
 
 
+def old_breakaway_se(fit, f1, c, f0_hat):
+    """The breakaway SE as the 2x2 covariance sum over (f0, n'), n' the observed richness."""
+    quantities = derived_quantities(fit)
+    beta0 = quantities.beta0_hat
+    c_hat = f0_hat + c
+    var_f0 = (
+        f1 * (c_hat - f1) / (c_hat * beta0**2)
+        + f1**2 * quantities.var_beta0 / beta0**4
+    )
+    var_n = c * f0_hat / c_hat
+    cov_f0_n = -f0_hat * c / c_hat
+    var_c = var_f0 + var_n + 2.0 * cov_f0_n
+    if var_c < 0.0:
+        warnings.warn("negative variance estimate clamped")
+        return 0.0
+    return math.sqrt(var_c)
+
+
+def old_nof1_se(fit, tbl, f0_hat, f1_hat):
+    """The nof1 SE as the sum of the full 3x3 covariance of (f0, f1, n), n = sum_{j>=2} f_j."""
+    quantities = derived_quantities(fit)
+    beta0 = quantities.beta0_hat
+    b = quantities.b_hat
+    f2 = float(tbl.get(2))
+    n = float(sum(f for j, f in tbl.entries if j >= 2))
+    c_hat = f0_hat + f1_hat + n
+    var_f0 = (
+        f2 * (c_hat - f2) / (c_hat * beta0**2 * b**2)
+        + f2**2 * quantities.var_beta0 / (beta0**4 * b**2)
+        + 2.0 * f2**2 * quantities.cov_b_beta0 / (beta0**3 * b**3)
+        + f2**2 * quantities.var_b / (beta0**2 * b**4)
+    )
+    cov_f0_f1 = (
+        f2 * (c_hat - f2) / (c_hat * beta0 * b**2)
+        + f2**2 * quantities.cov_b_beta0 / (beta0**2 * b**3)
+        + f2**2 * quantities.var_b / (beta0 * b**4)
+    )
+    var_f1 = f2 * (c_hat - f2) / (c_hat * b**2) + f2**2 * quantities.var_b / b**4
+    var_n = n * (f0_hat + f1_hat) / c_hat
+    cov_f0_n = -f0_hat * n / c_hat
+    cov_f1_n = -f1_hat * n / c_hat
+    var_c = var_f0 + var_f1 + var_n + 2.0 * (cov_f0_f1 + cov_f0_n + cov_f1_n)
+    if var_c < 0.0:
+        warnings.warn("negative variance estimate clamped")
+        return 0.0
+    return math.sqrt(var_c)
+
+
+class TestDeltaMethodRule:
+    """Var(C) = Var(U) - n U / C against the expanded covariance sums above."""
+
+    def test_batch_ses_match_the_expanded_sums(self, monkeypatch):
+        # Table-1 at rates 0, +100 and -80 (rate 0 is also criterion 5's first
+        # population), criterion 5's second population, and the short,
+        # long-tailed and abundance populations of the benchmark
+        populations = [
+            (5000, 500, 0.99, 0.0),
+            (5000, 500, 0.99, 100.0),
+            (5000, 500, 0.99, -80.0),
+            (5000, 100, 0.95, 0.0),
+            (3000, 1, 0.7, 0.0),
+            (20000, 10, 0.5, 0.0),
+            (3000, 40, 0.9, 0.0),
+        ]
+        tables = [
+            apply_chimeric_inflation(
+                truncate_to_observed(sample_nb_counts(C, size, prob, replicate_rng(20260809, i))),
+                rate,
+            )
+            for C, size, prob, rate in populations
+            for i in range(100, 200)
+        ]
+        select, selected = estimators._select_batch, []
+
+        def spy(batch, require_f1):
+            out = select(batch, require_f1)
+            selected.extend(out)
+            return out
+
+        monkeypatch.setattr(estimators, "_select_batch", spy)
+        references = {
+            "nof1": lambda fit, tbl, est: old_nof1_se(fit, tbl, est.f0_hat, est.f1_hat),
+            "breakaway": lambda fit, tbl, est: old_breakaway_se(
+                fit, tbl.get(1), observed_richness(tbl), est.f0_hat
+            ),
+        }
+        clamped = 0
+        for name, reference in references.items():
+            selected.clear()
+            column = _estimate_batch((name,), tables)[name]
+            done = [(t, est) for t, est in zip(tables, column) if isinstance(est, RichnessEstimate)]
+            fits = [o[0] for o in selected if not isinstance(o, NoAdmissibleModelError)]
+            assert len(done) > 0.9 * len(tables)
+            for (tbl, est), fit in zip(done, fits, strict=True):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    want = reference(fit, tbl, est)
+                assert math.isclose(est.se, want, rel_tol=1e-13), (name, est.se, want)
+                assert est.warnings == [str(w.message) for w in caught]
+                clamped += est.se == 0.0
+        # the clamp is exercised, and agrees, on some of these tables
+        assert clamped > 0
+
+
 class TestNof1StandardError:
     def test_hand_evaluated_plugin_oracle(self):
-        # f2=100, beta0=b=0.5, n=600, zero coefficient covariance:
-        # f1=200, f0=400, C=1200; the six terms are 1466.67, 733.33, 366.67,
-        # 300, -200, -100 and the 3x3 sum is 3000
+        # f2=100, beta0=b=0.5, n=600, zero coefficient covariance: f1=200,
+        # f0=400, U = f0 + f1 = 600, C=1200. Var(f2) = 100 * 1100/1200 and
+        # dU/df2 = (1 + beta0)/(beta0 b) = 6 give Var(U) = 3300, so
+        # Var(C) = Var(U) - n U/C = 3300 - 300 = 3000
         fit = synthetic_fit((0.5, 0.0))
         t = table({2: 100, 3: 500})
         se = nof1_standard_error(fit, t, f0_hat=400.0, f1_hat=200.0)
         assert se == pytest.approx(math.sqrt(3000.0), abs=1e-9)
+
+    def test_hand_evaluated_oracle_with_coefficient_covariance(self):
+        # as above with Var(beta0) = 0.01, Cov(beta0, beta1) = 0.002 and
+        # Var(beta1) = 0.004, so Cov(b, beta0) = 0.012 and Var(b) = 0.018 for
+        # b = beta0 + beta1. dU/dbeta0 = -f2/(beta0^2 b) = -800 and
+        # dU/db = -U/b = -1200 add 6400 + 23040 + 25920 = 55360 to Var(U), so
+        # Var(C) = 3300 + 55360 - 300 = 58360
+        fit = synthetic_fit((0.5, 0.0), cov=[[0.01, 0.002], [0.002, 0.004]])
+        t = table({2: 100, 3: 500})
+        se = nof1_standard_error(fit, t, f0_hat=400.0, f1_hat=200.0)
+        assert se == pytest.approx(math.sqrt(58360.0), rel=1e-12)
+        assert se == pytest.approx(old_nof1_se(fit, t, 400.0, 200.0), rel=1e-13)
 
     def test_degenerate_single_class_table(self):
         # with f2 equal to the whole of C the multinomial terms vanish

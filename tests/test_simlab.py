@@ -28,7 +28,38 @@ from ratiorich.simlab import (
 from helpers import table
 
 
+def old_sample_nb_counts(C, size, prob, rng):
+    """The sampler with its cdf table walked per call, up to the call's largest uniform."""
+    u = rng.random(C)
+    u_max = float(np.max(u))
+    q = 1.0 - prob
+    log_current = size * math.log(prob)
+    current = math.exp(log_current)
+    cdf_values, total, x = [], 0.0, 0
+    while True:
+        total += current
+        cdf_values.append(total)
+        if total >= u_max or (total > 0.0 and current < total * 2.0**-54):
+            break
+        if current > 0.0:
+            current *= q * (x + size) / (x + 1)
+        else:
+            log_current += math.log(q) + math.log(x + size) - math.log(x + 1)
+            current = math.exp(log_current)
+        x += 1
+    return np.searchsorted(np.asarray(cdf_values), u, side="left").astype(np.int64)
+
+
 class TestSampleNbCounts:
+    def test_same_draws_as_a_table_walked_to_the_largest_uniform(self):
+        # the table runs on to 1 - 2**-53, which moves no searchsorted(side="left")
+        for size, prob in ((500, 0.99), (100, 0.95), (1, 0.7), (10, 0.5), (40, 0.9),
+                           (50_000, 0.99), (1, 1e-4)):
+            for i in range(5):
+                got = sample_nb_counts(2000, size, prob, replicate_rng(5, i))
+                want = old_sample_nb_counts(2000, size, prob, replicate_rng(5, i))
+                assert np.array_equal(got, want), (size, prob, i)
+
     def test_mean_within_three_standard_errors(self):
         rng = replicate_rng(123, 0)
         draws = sample_nb_counts(100_000, 500, 0.99, rng)
@@ -195,6 +226,14 @@ class TestRunReplications:
         for rate in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 SimulationConfig(C=5, size=5, prob=0.5, chimeric_rate=rate)
+
+    def test_config_rejects_a_cdf_table_past_the_cap(self, monkeypatch):
+        # geometric counts at prob 0.0123 need about 2,700 entries before the
+        # tail stops moving the cdf; the largest of 10 draws lands near entry 200
+        monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
+        with pytest.raises(ValueError, match="size 1 and prob 0.0123 need a cdf table of over 1000"):
+            SimulationConfig(C=10, size=1, prob=0.0123)
+        SimulationConfig(C=10, size=1, prob=0.05)
 
 
 class TestJointBatch:
