@@ -176,20 +176,25 @@ def cmd_estimate(args) -> tuple[dict, Callable[[], int]]:
     return cfg, run
 
 
-def cmd_simulate(args) -> tuple[dict, Callable[[], int]]:
-    estimators = _parse_estimator_list(args.estimators)
+def _simulation_config(args, seed: int, estimators, C: int, size: int, prob: float):
+    """One run's SimulationConfig from --rate, --reps and --trim; --workers is checked too."""
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
-    cfg = simlab.SimulationConfig(
-        C=args.C,
-        size=args.size,
-        prob=args.prob,
+    return simlab.SimulationConfig(
+        C=C,
+        size=size,
+        prob=prob,
         chimeric_rate=args.rate,
         reps=args.reps,
-        seed=_seed(args),
+        seed=seed,
         estimators=estimators,
         trim=args.trim,
     )
+
+
+def cmd_simulate(args) -> tuple[dict, Callable[[], int]]:
+    estimators = _parse_estimator_list(args.estimators)
+    cfg = _simulation_config(args, _seed(args), estimators, args.C, args.size, args.prob)
     fmt = args.output
     if fmt is None:
         fmt = "json" if args.out.endswith(".json") else "csv"
@@ -240,27 +245,13 @@ def cmd_calibrate_se(args) -> tuple[dict, Callable[[], int]]:
     prob_list = _parse_list(args.prob_list, "--prob-list", float)
     if not c_list or not size_list or not prob_list:
         raise ValueError("empty parameter list")
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
     if args.grid == "zip":
         if not (len(c_list) == len(size_list) == len(prob_list)):
             raise ValueError("zipped lists must have equal lengths")
         combos = list(zip(c_list, size_list, prob_list))
     else:
         combos = list(itertools.product(c_list, size_list, prob_list))
-    configs = [
-        simlab.SimulationConfig(
-            C=c_true,
-            size=size,
-            prob=prob,
-            chimeric_rate=args.rate,
-            reps=args.reps,
-            seed=seed,
-            estimators=(args.estimator,),
-            trim=args.trim,
-        )
-        for c_true, size, prob in combos
-    ]
+    configs = [_simulation_config(args, seed, (args.estimator,), *combo) for combo in combos]
 
     global_warnings: list[str] = []
     if args.reps < LOW_REPS_THRESHOLD:

@@ -66,6 +66,20 @@ class AllReplicatesFailedError(RuntimeError):
     """No replicate produced an estimate to aggregate."""
 
 
+def _check_population(C: int, size: int, prob: float) -> None:
+    if C < 1:
+        raise ValueError("C must be >= 1")
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    if not (0.0 < prob < 1.0):
+        raise ValueError("prob must lie strictly inside (0, 1)")
+
+
+def _check_rate(rate_percent: float) -> None:
+    if not math.isfinite(rate_percent):
+        raise ValueError("chimeric_rate must be finite")
+
+
 def _check_seed(seed: int) -> int:
     """seed, if it is one replicate_rng takes: a 64-bit unsigned integer."""
     if not 0 <= seed < 2**64:
@@ -94,14 +108,8 @@ class SimulationConfig:
     trim: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.C < 1:
-            raise ValueError("C must be >= 1")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if not (0.0 < self.prob < 1.0):
-            raise ValueError("prob must lie strictly inside (0, 1)")
-        if not math.isfinite(self.chimeric_rate):
-            raise ValueError("chimeric_rate must be finite")
+        _check_population(self.C, self.size, self.prob)
+        _check_rate(self.chimeric_rate)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         _check_seed(self.seed)
@@ -124,7 +132,7 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=16)
-def _nb_cdf(size: int, prob: float) -> np.ndarray:
+def _nb_cdf_or_refusal(size: int, prob: float) -> np.ndarray | str:
     """The negative-binomial cdf at 0, 1, 2, ... as far as a uniform draw can reach.
 
     The pmf starts at P(0) = prob**size and follows the recurrence
@@ -132,30 +140,34 @@ def _nb_cdf(size: int, prob: float) -> np.ndarray:
     the walk tracks the log-pmf until the probabilities become representable.
     The table ends at 1 - 2**-53, the largest uniform Generator.random draws,
     or where further mass cannot move it: a uniform past its end (measure ~0)
-    maps to the bin past the table. ValueError if it needs more than
-    _PMF_TABLE_CAP entries.
+    maps to the bin past the table. Past _PMF_TABLE_CAP entries the message
+    refusing the table is returned, and cached, instead.
     """
     q = 1.0 - prob
+    # the walk cannot end before the mode floor((size - 1) q / prob): refuse one past the cap
+    last = _PMF_TABLE_CAP if (size - 1) * q / prob < _PMF_TABLE_CAP + 1 else -1
     log_current = size * math.log(prob)
     current = math.exp(log_current)
     cdf_values: list[float] = []
     total = 0.0
-    x = 0
-    while True:
+    for x in range(last + 1):
         total += current
         cdf_values.append(total)
         if total >= 1.0 - 2.0**-53 or (total > 0.0 and current < total * 2.0**-54):
             return np.asarray(cdf_values)
-        if len(cdf_values) > _PMF_TABLE_CAP:
-            raise ValueError(
-                f"size {size} and prob {prob!r} need a cdf table of over {_PMF_TABLE_CAP} entries"
-            )
         if current > 0.0:
             current *= q * (x + size) / (x + 1)
         else:
             log_current += math.log(q) + math.log(x + size) - math.log(x + 1)
             current = math.exp(log_current)
-        x += 1
+    return f"size {size} and prob {prob!r} need a cdf table of over {_PMF_TABLE_CAP} entries"
+
+
+def _nb_cdf(size: int, prob: float) -> np.ndarray:
+    """_nb_cdf_or_refusal's table; ValueError with its message if it refuses one."""
+    if isinstance(table := _nb_cdf_or_refusal(size, prob), str):
+        raise ValueError(table)
+    return table
 
 
 def sample_nb_counts(C: int, size: int, prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -163,12 +175,9 @@ def sample_nb_counts(C: int, size: int, prob: float, rng: np.random.Generator) -
 
     The uniforms are located in the cdf table of (size, prob), built once and
     kept for later calls. Zeros are kept: they become the unobserved taxa
-    once the sample is truncated.
+    once the sample is truncated. SimulationConfig's population rule raises ValueError.
     """
-    if not (0.0 < prob < 1.0):
-        raise ValueError("prob must lie strictly inside (0, 1)")
-    if C < 1:
-        raise ValueError("C must be >= 1")
+    _check_population(C, size, prob)
     return np.searchsorted(_nb_cdf(size, prob), rng.random(C), side="left").astype(np.int64)
 
 
@@ -196,8 +205,10 @@ def apply_chimeric_inflation(
     Positive rates mimic chimera-induced false singletons, negative rates
     aggressive singleton filtering. The scaled value rounds half away from
     zero and floors at zero (removing the entry); every other f_j is left
-    untouched. A table without singletons passes through unchanged.
+    untouched. A table without singletons passes through unchanged. The rate
+    rule of SimulationConfig applies first: ValueError unless it is finite.
     """
+    _check_rate(rate_percent)
     f1 = table.get(1)
     if f1 == 0:
         return table
@@ -217,6 +228,11 @@ class ErrorStats(NamedTuple):
     median_sq: float
 
 
+def _trimmed_mean(values: np.ndarray, trim: float) -> float:
+    cut = int(math.floor(trim * values.size))
+    return float(np.sort(values)[cut : values.size - cut].mean())
+
+
 def error_stats(estimates: Sequence[float], true_c: float, trim: float) -> ErrorStats:
     """Squared-error summaries with per-tail trimming.
 
@@ -231,18 +247,11 @@ def error_stats(estimates: Sequence[float], true_c: float, trim: float) -> Error
     if not (0.0 <= trim < 0.5):
         raise ValueError("trim must lie in [0, 0.5)")
     squared = (values - true_c) ** 2
-    cut = int(math.floor(trim * squared.size))
-    middle = np.sort(squared)[cut : squared.size - cut]
     return ErrorStats(
-        trimmed_rmse=float(np.sqrt(middle.mean())),
+        trimmed_rmse=math.sqrt(_trimmed_mean(squared, trim)),
         mean_sq=float(squared.mean()),
         median_sq=float(np.median(squared)),
     )
-
-
-def _trimmed_mean(values: np.ndarray, trim: float) -> float:
-    cut = int(math.floor(trim * values.size))
-    return float(np.sort(values)[cut : values.size - cut].mean())
 
 
 def scaled_mad(values: Sequence[float]) -> float:
@@ -320,31 +329,22 @@ def _replicate_block(
 def _aggregate(
     cfg: SimulationConfig, name: str, column: list[tuple[bool, float, float, float]]
 ) -> EstimatorStats:
-    chats = np.array([c for ok, c, _, _ in column if ok])
-    ses = np.array([s for ok, _, s, _ in column if ok])
-    times = np.array([t for ok, _, _, t in column if ok])
-    failures = cfg.reps - chats.size
-    if chats.size:
-        errors = error_stats(chats, float(cfg.C), cfg.trim)
-        median_se = float(np.median(ses))
-        mad = scaled_mad(chats)
-        runtimes = (_trimmed_mean(times, cfg.trim), float(times.mean()), float(np.median(times)))
-    else:
-        errors = ErrorStats(math.nan, math.nan, math.nan)
-        median_se = math.nan
-        mad = math.nan
-        runtimes = (math.nan, math.nan, math.nan)
+    successes = [row for row in column if row[0]]
+    if not successes:
+        return EstimatorStats(name, cfg.reps, *(math.nan,) * 8)
+    _, chats, ses, times = (np.array(values) for values in zip(*successes))
+    errors = error_stats(chats, float(cfg.C), cfg.trim)
     return EstimatorStats(
         estimator=name,
-        failures=failures,
+        failures=cfg.reps - chats.size,
         trimmed_rmse=errors.trimmed_rmse,
         mean_sq_error=errors.mean_sq,
         median_sq_error=errors.median_sq,
-        median_se=median_se,
-        mad_of_estimates=mad,
-        runtime_tmean=runtimes[0],
-        runtime_mean=runtimes[1],
-        runtime_median=runtimes[2],
+        median_se=float(np.median(ses)),
+        mad_of_estimates=scaled_mad(chats),
+        runtime_tmean=_trimmed_mean(times, cfg.trim),
+        runtime_mean=float(times.mean()),
+        runtime_median=float(np.median(times)),
     )
 
 
@@ -441,11 +441,10 @@ def subsample_curve(
     full sample exactly once. Rows come back fraction-major in the given
     (ascending) order; a row with no usable subsample is flagged with NaN
     summaries and a full failure count. The estimators default to every
-    registered one.
+    registered one. from_abundances' rule raises ValueError for bad abundances.
     """
+    full = from_abundances(abundances)
     counts = np.asarray(abundances, dtype=np.int64)
-    if counts.size == 0 or np.any(counts < 1):
-        raise ValueError("abundances must be positive integers")
     fracs = [float(x) for x in fractions]
     _check_curve_arguments(fracs, reps)
     if any(b < a for a, b in zip(fracs, fracs[1:])):
@@ -459,7 +458,7 @@ def subsample_curve(
     rows: list[CurveRow] = []
     for fraction in fracs:
         if fraction == 1.0:
-            tables: list[FrequencyCountTable | None] = [from_abundances(counts.tolist())]
+            tables: list[FrequencyCountTable | None] = [full]
         else:
             draw_size = _round_half_away(fraction * total)
             tables = []

@@ -50,6 +50,80 @@ def old_sample_nb_counts(C, size, prob, rng):
     return np.searchsorted(np.asarray(cdf_values), u, side="left").astype(np.int64)
 
 
+def old_nb_cdf(size, prob):
+    """The cdf table walked entry by entry until it ends or passes simlab._PMF_TABLE_CAP."""
+    q = 1.0 - prob
+    log_current = size * math.log(prob)
+    current = math.exp(log_current)
+    cdf_values, total, x = [], 0.0, 0
+    while True:
+        total += current
+        cdf_values.append(total)
+        if total >= 1.0 - 2.0**-53 or (total > 0.0 and current < total * 2.0**-54):
+            return np.asarray(cdf_values)
+        if len(cdf_values) > simlab._PMF_TABLE_CAP:
+            raise ValueError(f"size {size} and prob {prob!r} need a cdf table of over "
+                             f"{simlab._PMF_TABLE_CAP} entries")
+        if current > 0.0:
+            current *= q * (x + size) / (x + 1)
+        else:
+            log_current += math.log(q) + math.log(x + size) - math.log(x + 1)
+            current = math.exp(log_current)
+        x += 1
+
+
+def old_error_stats(estimates, true_c, trim):
+    """error_stats with its own trimming slice and np.sqrt."""
+    values = np.asarray(estimates, dtype=float)
+    squared = (values - true_c) ** 2
+    cut = int(math.floor(trim * squared.size))
+    middle = np.sort(squared)[cut : squared.size - cut]
+    return simlab.ErrorStats(
+        trimmed_rmse=float(np.sqrt(middle.mean())),
+        mean_sq=float(squared.mean()),
+        median_sq=float(np.median(squared)),
+    )
+
+
+def old_aggregate(cfg, name, column):
+    """_aggregate with one pass per column and a NaN tuple for no success."""
+    chats = np.array([c for ok, c, _, _ in column if ok])
+    ses = np.array([s for ok, _, s, _ in column if ok])
+    times = np.array([t for ok, _, _, t in column if ok])
+    failures = cfg.reps - chats.size
+    if chats.size:
+        errors = old_error_stats(chats, float(cfg.C), cfg.trim)
+        median_se = float(np.median(ses))
+        mad = scaled_mad(chats)
+        runtimes = (
+            simlab._trimmed_mean(times, cfg.trim), float(times.mean()), float(np.median(times))
+        )
+    else:
+        errors = simlab.ErrorStats(math.nan, math.nan, math.nan)
+        median_se = math.nan
+        mad = math.nan
+        runtimes = (math.nan, math.nan, math.nan)
+    return simlab.EstimatorStats(
+        estimator=name,
+        failures=failures,
+        trimmed_rmse=errors.trimmed_rmse,
+        mean_sq_error=errors.mean_sq,
+        median_sq_error=errors.median_sq,
+        median_se=median_se,
+        mad_of_estimates=mad,
+        runtime_tmean=runtimes[0],
+        runtime_mean=runtimes[1],
+        runtime_median=runtimes[2],
+    )
+
+
+@pytest.fixture(autouse=True)
+def _no_cdf_table_outlives_its_test():
+    # a test that lowers simlab._PMF_TABLE_CAP must not leave a refusal cached under it
+    yield
+    simlab._nb_cdf_or_refusal.cache_clear()
+
+
 class TestSampleNbCounts:
     def test_same_draws_as_a_table_walked_to_the_largest_uniform(self):
         # the table runs on to 1 - 2**-53, which moves no searchsorted(side="left")
@@ -92,6 +166,42 @@ class TestSampleNbCounts:
             sample_nb_counts(10, 5, 0.0, replicate_rng(1, 0))
         with pytest.raises(ValueError):
             sample_nb_counts(10, 5, 1.0, replicate_rng(1, 0))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            sample_nb_counts(10, size, 0.5, replicate_rng(1, 0))
+
+    def test_mode_past_the_cap_refused_like_the_walk(self, monkeypatch):
+        # modes floor((size - 1)(1 - prob)/prob) from 990 to 1010 around a cap of 1000
+        monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
+        refused_by_bound = 0
+        for size in (2, 3, 10, 200):
+            for mode in range(990, 1011):
+                prob = (size - 1) / (mode + 0.5 + size - 1)
+                try:
+                    want = old_nb_cdf(size, prob)
+                except ValueError as exc:
+                    want = str(exc)
+                got = simlab._nb_cdf_or_refusal(size, prob)
+                if (size - 1) * (1.0 - prob) / prob >= 1001:
+                    refused_by_bound += 1
+                    assert isinstance(want, str), (size, prob)
+                if isinstance(want, str):
+                    assert got == want, (size, prob)
+                else:
+                    assert np.array_equal(got, want), (size, prob)
+        assert refused_by_bound == 40
+
+    def test_a_second_refusal_is_a_cache_hit(self, monkeypatch):
+        monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
+        simlab._nb_cdf_or_refusal.cache_clear()
+        for size, prob in ((1, 0.0123), (3, 0.001)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"size {size} and prob {prob} need a cdf"):
+                    sample_nb_counts(10, size, prob, replicate_rng(1, 0))
+        info = simlab._nb_cdf_or_refusal.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
 
     def test_underflowing_p0_still_samples(self):
         # prob**size underflows to zero; the log-space walk must cope
@@ -139,6 +249,12 @@ class TestInflation:
         t = table({2: 5, 3: 1})
         assert apply_chimeric_inflation(t, 250.0) == t
 
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("counts", [{1: 100, 2: 50}, {2: 5, 3: 1}])
+    def test_non_finite_rate_rejected(self, rate, counts):
+        with pytest.raises(ValueError, match="chimeric_rate must be finite"):
+            apply_chimeric_inflation(table(counts), rate)
+
 
 class TestErrorStats:
     def test_hand_computed_oracle(self):
@@ -160,6 +276,53 @@ class TestErrorStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             error_stats([], 5.0, 0.2)
+
+    def test_same_numbers_as_its_own_trimming_slice(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 5, 101):
+            values = 5000.0 + 40.0 * rng.standard_normal(n)
+            for trim in (0.0, 0.1, 0.2, 0.49):
+                assert error_stats(values, 5000.0, trim) == old_error_stats(values, 5000.0, trim)
+
+
+def _same_stats(got, want):
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        assert other == value or (math.isnan(other) and math.isnan(value)), name
+
+
+class TestAggregate:
+    """_aggregate gives the numbers of its one-pass-per-column reference, field by field."""
+
+    NAN_ROW = (False, math.nan, math.nan, 0.0)
+
+    def check(self, column, trim=0.2):
+        cfg = SimulationConfig(C=5000, size=5, prob=0.5, reps=len(column), trim=trim)
+        _same_stats(simlab._aggregate(cfg, "nof1", column), old_aggregate(cfg, "nof1", column))
+
+    def test_all_failed(self):
+        self.check([self.NAN_ROW, (False, math.nan, math.nan, 0.004)] * 3)
+
+    def test_one_success(self):
+        self.check([(True, 5010.0, 12.0, 0.003), self.NAN_ROW, (False, math.nan, math.nan, 0.002)])
+
+    def test_trim_that_cuts_rows(self):
+        column = [(True, 5000.0 + 7.0 * i * (-1) ** i, 30.0 + i, 0.001 * i) for i in range(10)]
+        for trim in (0.0, 0.1, 0.2, 0.3):
+            self.check(column, trim)
+
+    def test_mixed_failures_with_runtimes(self):
+        rng = np.random.default_rng(23)
+        column = [
+            (True, float(c), float(s), float(t)) if ok else (False, math.nan, math.nan, float(t))
+            for ok, c, s, t in zip(
+                rng.random(30) < 0.6,
+                5000.0 + 60.0 * rng.standard_normal(30),
+                50.0 + rng.random(30),
+                rng.random(30) * 0.01,
+            )
+        ]
+        self.check(column)
 
 
 class TestRunReplications:
@@ -374,6 +537,11 @@ class TestSubsampleCurve:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="at least one estimator is required"):
             subsample_curve(self.VECTOR, [1.0], reps=2, rng=rng, estimators=())
+
+    def test_non_integer_abundance_rejected(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="abundances must be positive integers, got 2.5"):
+            subsample_curve([2.5, 3, 1, 1], [0.5, 1.0], reps=2, rng=rng)
 
 
 def _counting_stub(calls):
