@@ -2,12 +2,12 @@
 
 Three estimators over a frequency-count table:
 
-* ``breakaway`` -- fits ratios from j = 1 and predicts the unseen count from
-  the observed singletons, f0 = f_1 / beta0, so C = f0 + sum_j f_j.
-* ``breakaway_nof1`` (estimator id ``nof1``) -- distrusts the singleton count
-  entirely: fits ratios from j = 2, predicts the true singleton count from the
-  doubletons, f1 = f_2 / b with b the fitted ratio at j = 1, then
-  f0 = f1 / beta0 and C = f0 + f1 + sum_{j>=2} f_j.
+* ``breakaway`` and ``breakaway_nof1`` (estimator id ``nof1``) -- one fitted
+  rule, set by the first count j_min it trusts: 1 for breakaway, 2 for nof1,
+  which distrusts the singleton count entirely. It fits the ratios from j_min,
+  predicts every count below j_min by successive division, f_l = f_{l+1} / m(l)
+  with m(0) = beta0 and m(1) = b the fitted ratios, and totals C = U + n for U
+  the predicted counts and n = sum_{j>=j_min} f_j.
 * ``chao1`` -- the classical moment lower bound, used as a comparator.
 
 Model selection walks a fixed ladder of rational degrees (1,0), (2,1), (3,2),
@@ -18,11 +18,9 @@ when a nested F comparison of their weighted SSEs is significant, which keeps
 the most parsimonious model that actually fits.
 
 Standard errors come from a first-order delta method over a multinomial model
-for the frequency counts. Both fitted estimators have C = U + n, with U the
-predicted part (f0, or f0 + f1) and n the observed count they trust; since
-Var(n) = n U / C and Cov(U, n) = -n U / C, Var(C) = Var(U) - n U / C. Var(U)
-combines the sampling variance of the count U is predicted from (f_1 or f_2)
-with the fitted coefficients' covariance.
+for the frequency counts. Since Var(n) = n U / C and Cov(U, n) = -n U / C,
+Var(C) = Var(U) - n U / C; Var(U) combines the sampling variance of f_{j_min}
+with the fitted covariance of (beta0, b).
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import numpy as np
 from . import ratiofit as _ratiofit
 from .freqtab import FrequencyCountTable, InsufficientDataError, observed_richness
 from .ratiofit import (
+    DerivedQuantities,
     FitResult,
     RankDeficiencyError,
     RationalModel,
@@ -271,55 +270,47 @@ def _count_at_least(table: FrequencyCountTable, j_min: int) -> int:
     return sum(f for j, f in table.entries if j >= j_min)
 
 
-def _breakaway_series(table: FrequencyCountTable) -> RatioSeries:
-    f1 = table.get(1)
-    if f1 == 0:
+def _series(table: FrequencyCountTable, j_min: int) -> RatioSeries:
+    """The ratio series from j_min; InsufficientDataError when f_{j_min} is 0."""
+    if table.get(j_min) == 0:
         raise InsufficientDataError(
             "table has no singleton entry (f_1); use breakaway_nof1, which predicts it"
+            if j_min == 1
+            else "table has no doubleton entry (f_2); cannot predict singletons"
         )
-    return build_ratio_series(table, 1)
+    return build_ratio_series(table, j_min)
 
 
-def _breakaway_estimate(table: FrequencyCountTable, fit: FitResult) -> RichnessEstimate:
-    f1 = table.get(1)
-    with warnings.catch_warnings(record=True) as captured:
-        warnings.simplefilter("always")
-        quantities = derived_quantities(fit)
-        beta0 = quantities.beta0_hat
-        f0_hat = f1 / beta0
-        c = observed_richness(table)
-        c_hat = f0_hat + c
-        var_f0 = (
-            f1 * (c_hat - f1) / (c_hat * beta0**2)
-            + (f0_hat / beta0) ** 2 * quantities.var_beta0
-        )
-        se = _total_se(var_f0, f0_hat, c, c_hat)
-    notes = [str(w.message) for w in captured]
-    return RichnessEstimate(
-        estimator="breakaway",
-        C_hat=float(c_hat),
-        f0_hat=float(f0_hat),
-        f1_hat=None,
-        se=float(se),
-        model=fit.model,
-        warnings=notes,
-    )
+def _predict(f: float, ratios: Sequence[float]) -> list[float]:
+    """f_0, ..., f_{k-1} from f = f_k by f_l = f_{l+1} / m(l), for m(l) = ratios[l]."""
+    counts = [f]
+    for m in reversed(ratios):
+        counts.insert(0, counts[0] / m)
+    return counts[:-1]
 
 
-def breakaway(table: FrequencyCountTable) -> RichnessEstimate:
-    """Richness estimate that trusts the observed singleton count.
+def _delta_se(
+    quantities: DerivedQuantities, f: float, counts: Sequence[float], n: float
+) -> float:
+    """Delta-method SE of C = U + n for U = sum(counts), the counts below j_min = len(counts).
 
-    Fits ratios on j = 1..J and predicts f0 = f_1/beta0, so
-    C = f0 + sum_{j>=1} f_j. Requires a singleton entry; without one the
-    singleton-free variant is the right tool. This is _estimate_batch's
-    breakaway for a batch of one table.
+    Var(U) propagates the multinomial variance f (C - f) / C of f = f_{j_min}
+    through dU/df, U's factor over f from the fit, and the covariance of
+    (m(0), m(1)) = (beta0, b) through dU/dm(i) = -(f_0 + ... + f_i) / m(i).
+    Var(C) = Var(U) - n U / C, clamped at zero with a warning.
     """
-    fit, _ = select_model(_breakaway_series(table), require_f1=False)
-    return _breakaway_estimate(table, fit)
-
-
-def _total_se(var_u: float, u: float, n: float, c_hat: float) -> float:
-    """sqrt(Var(C)) for C = U + n: Var(U) - n U / C, clamped at zero with a warning."""
+    ratios = (quantities.beta0_hat, quantities.b_hat)[: len(counts)]
+    cov = (
+        (quantities.var_beta0, quantities.cov_b_beta0),
+        (quantities.cov_b_beta0, quantities.var_b),
+    )
+    u = sum(counts)
+    c_hat = u + n
+    du_df = sum(_predict(1.0, ratios))
+    du_dm = [-sum(counts[: i + 1]) / m for i, m in enumerate(ratios)]
+    var_u = f * (c_hat - f) / c_hat * du_df**2 + sum(
+        gi * gk * cov[i][k] for i, gi in enumerate(du_dm) for k, gk in enumerate(du_dm)
+    )
     var_c = var_u - n * u / c_hat
     if var_c < 0.0:
         warnings.warn("negative variance estimate clamped")
@@ -327,38 +318,45 @@ def _total_se(var_u: float, u: float, n: float, c_hat: float) -> float:
     return math.sqrt(var_c)
 
 
-def _nof1_series(table: FrequencyCountTable) -> RatioSeries:
-    if table.get(2) == 0:
-        raise InsufficientDataError(
-            "table has no doubleton entry (f_2); cannot predict singletons"
-        )
-    return build_ratio_series(table, 2)
+def _estimate(table: FrequencyCountTable, fit: FitResult, j_min: int) -> RichnessEstimate:
+    """The estimate from the fit selected for the series from j_min.
 
-
-def _nof1_estimate(table: FrequencyCountTable, fit: FitResult) -> RichnessEstimate:
+    Every count below j_min is predicted from f_{j_min} by successive
+    division, f_l = f_{l+1} / m(l), and C = U + n with U their sum and
+    n = sum_{j>=j_min} f_j. Warnings raised on the way become the estimate's.
+    """
+    f = table.get(j_min)
     with warnings.catch_warnings(record=True) as captured:
         warnings.simplefilter("always")
         quantities = derived_quantities(fit)
-        f2 = table.get(2)
-        f1_hat = f2 / quantities.b_hat
-        f0_hat = f1_hat / quantities.beta0_hat
-        n = _count_at_least(table, 2)
-        c_hat = f0_hat + f1_hat + n
-        se = nof1_standard_error(fit, table, f0_hat, f1_hat)
-    notes = [str(w.message) for w in captured]
+        counts = _predict(f, (quantities.beta0_hat, quantities.b_hat)[:j_min])
+        n = _count_at_least(table, j_min)
+        se = _delta_se(quantities, f, counts, n)
     return RichnessEstimate(
-        estimator="nof1",
-        C_hat=float(c_hat),
-        f0_hat=float(f0_hat),
-        f1_hat=float(f1_hat),
+        estimator="breakaway" if j_min == 1 else "nof1",
+        C_hat=float(sum(counts) + n),
+        f0_hat=float(counts[0]),
+        f1_hat=float(counts[1]) if j_min > 1 else None,
         se=float(se),
         model=fit.model,
-        warnings=notes,
+        warnings=[str(w.message) for w in captured],
     )
 
 
+def breakaway(table: FrequencyCountTable) -> RichnessEstimate:
+    """Richness estimate that trusts the observed singleton count (j_min = 1).
+
+    Fits ratios on j = 1..J and predicts f0 = f_1/beta0, so
+    C = f0 + sum_{j>=1} f_j. Requires a singleton entry; without one the
+    singleton-free variant is the right tool. This is _estimate_batch's
+    breakaway for a batch of one table.
+    """
+    fit, _ = select_model(_series(table, 1), require_f1=False)
+    return _estimate(table, fit, 1)
+
+
 def breakaway_nof1(table: FrequencyCountTable) -> RichnessEstimate:
-    """Richness estimate that ignores the stored singleton count.
+    """Richness estimate that ignores the stored singleton count (j_min = 2).
 
     Fits ratios on j = 2..J, predicts the true singleton count from the
     doubletons, f1 = f_2/b, then the unseen count f0 = f1/beta0; the total is
@@ -366,38 +364,23 @@ def breakaway_nof1(table: FrequencyCountTable) -> RichnessEstimate:
     is invariant to singleton corruption. This is _estimate_batch's nof1 for
     a batch of one table.
     """
-    fit, _ = select_model(_nof1_series(table), require_f1=True)
-    return _nof1_estimate(table, fit)
+    fit, _ = select_model(_series(table, 2), require_f1=True)
+    return _estimate(table, fit, 2)
 
 
 def nof1_standard_error(
     fit: FitResult, table: FrequencyCountTable, f0_hat: float, f1_hat: float
 ) -> float:
-    """Delta-method SE for the singleton-free estimator.
+    """Delta-method SE for the singleton-free estimator: _delta_se at j_min = 2.
 
-    C = U + n with U = f0 + f1 = f_2 (1 + beta0) / (beta0 b) and
-    n = sum_{j>=2} f_j, so Var(C) = Var(U) - n U / C with U = f0_hat + f1_hat;
-    this equals the sum of the full 3x3 covariance of (f0, f1, n). Var(U)
-    propagates the multinomial variance f_2 (C - f_2) / C of f_2 and the fit
-    covariance of (beta0, b) through the gradient of U. A negative total is
-    clamped to zero with a warning.
+    C = U + n with U = f0_hat + f1_hat = f_2 (1 + beta0) / (beta0 b) and
+    n = sum_{j>=2} f_j, so Var(C) = Var(U) - n U / C; this equals the sum of
+    the full 3x3 covariance of (f0, f1, n). A negative total is clamped to
+    zero with a warning.
     """
-    quantities = derived_quantities(fit)
-    beta0 = quantities.beta0_hat
-    b = quantities.b_hat
-    f2 = float(table.get(2))
-    n = float(_count_at_least(table, 2))
-    u = f0_hat + f1_hat
-    c_hat = u + n
-    du_df2 = (1.0 + beta0) / (beta0 * b)
-    du_dbeta0, du_db = -f2 / (beta0**2 * b), -f2 * du_df2 / b
-    var_u = (
-        f2 * (c_hat - f2) / c_hat * du_df2**2
-        + du_dbeta0**2 * quantities.var_beta0
-        + 2.0 * du_dbeta0 * du_db * quantities.cov_b_beta0
-        + du_db**2 * quantities.var_b
+    return _delta_se(
+        derived_quantities(fit), table.get(2), (f0_hat, f1_hat), _count_at_least(table, 2)
     )
-    return _total_se(var_u, u, n, c_hat)
 
 
 def chao1(table: FrequencyCountTable) -> RichnessEstimate:
@@ -461,12 +444,8 @@ def _check_names(names: Sequence[str]) -> None:
 # What an estimator raises on data it cannot handle: tallied as a failure. Any
 # other exception, a plain ValueError included, is a fault and propagates.
 ESTIMATOR_FAILURES = (NoAdmissibleModelError, InsufficientDataError)
-# The fitted estimators' steps around model selection: the table's ratio
-# series, require_f1, and the estimate from the selected fit.
-_BATCH_FORMS = {
-    breakaway_nof1: (_nof1_series, True, _nof1_estimate),
-    breakaway: (_breakaway_series, False, _breakaway_estimate),
-}
+# The fitted estimators, by the first count j_min they trust.
+_J_MIN = {breakaway_nof1: 2, breakaway: 1}
 
 
 def _attempt(fn: Callable, *args):
@@ -483,12 +462,13 @@ def _estimate_batch(
 ) -> dict[str, list[RichnessEstimate | Exception]]:
     """Registry estimators `names` on every table: {name: its estimate or failure per table}.
 
-    The package's fitted estimators build every table's ratio series, select
-    all of their models together (one _select_batch over every estimator's
-    series, each with its own require_f1) and finish each table alone with
-    their own estimate step: the same estimates as calling them table by
-    table. Any other registry entry, such as a stub or a wrapper, is called
-    once per table. Failures outside ESTIMATOR_FAILURES propagate.
+    The package's fitted estimators build every table's ratio series from
+    their j_min, select all of their models together (one _select_batch over
+    every estimator's series, each with require_f1 when j_min > 1) and finish
+    each table alone with the estimate step: the same estimates as calling
+    them table by table. Any other registry entry, such as a stub or a
+    wrapper, is called once per table. Failures outside ESTIMATOR_FAILURES
+    propagate.
 
     seconds, when given, receives each name's wall-clock seconds: its own
     series and estimate steps (or its calls, table by table), plus a share
@@ -496,23 +476,23 @@ def _estimate_batch(
     is the package's one runtime-share rule: the simulation lab gives each
     table an even share of its estimator's seconds in the batch.
     """
-    forms = {name: _BATCH_FORMS.get(ESTIMATORS[name]) for name in names}
+    j_mins = {name: _J_MIN.get(ESTIMATORS[name]) for name in names}
     clock: dict[str, float] = {}
     out: dict[str, list] = {}
     joint: list[tuple[str, int]] = []  # (name, table index) of every series to select for
-    for name, form in forms.items():
+    for name, j_min in j_mins.items():
         start = time.perf_counter()
-        if form is None:
+        if j_min is None:
             out[name] = [_attempt(ESTIMATORS[name], table) for table in tables]
         else:
-            out[name] = [_attempt(form[0], table) for table in tables]
+            out[name] = [_attempt(_series, table, j_min) for table in tables]
             joint += [
                 (name, i) for i, series in enumerate(out[name]) if isinstance(series, RatioSeries)
             ]
         clock[name] = time.perf_counter() - start
     start = time.perf_counter()
     selected = _select_batch(
-        [out[name][i] for name, i in joint], [forms[name][1] for name, _ in joint]
+        [out[name][i] for name, i in joint], [j_mins[name] > 1 for name, _ in joint]
     )
     shared = (time.perf_counter() - start) / max(len(joint), 1)
     for (name, i), outcome in zip(joint, selected):
@@ -520,7 +500,7 @@ def _estimate_batch(
         if isinstance(outcome, NoAdmissibleModelError):
             out[name][i] = outcome
         else:
-            out[name][i] = _attempt(forms[name][2], tables[i], outcome[0])
+            out[name][i] = _attempt(_estimate, tables[i], outcome[0], j_mins[name])
         clock[name] += time.perf_counter() - start + shared
     if seconds is not None:
         seconds.update(clock)

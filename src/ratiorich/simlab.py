@@ -80,6 +80,21 @@ def _check_rate(rate_percent: float) -> None:
         raise ValueError("chimeric_rate must be finite")
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+
+
+def _check_trim(trim: float) -> None:
+    if not (0.0 <= trim < 0.5):
+        raise ValueError("trim must lie in [0, 0.5)")
+
+
+def _check_one_estimator(names: Sequence) -> None:
+    if len(names) != 1:
+        raise ValueError("SE calibration runs one estimator at a time")
+
+
 def _check_seed(seed: int) -> int:
     """seed, if it is one replicate_rng takes: a 64-bit unsigned integer."""
     if not 0 <= seed < 2**64:
@@ -110,11 +125,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _check_population(self.C, self.size, self.prob)
         _check_rate(self.chimeric_rate)
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        _check_reps(self.reps)
         _check_seed(self.seed)
-        if not (0.0 <= self.trim < 0.5):
-            raise ValueError("trim must lie in [0, 0.5)")
+        _check_trim(self.trim)
         object.__setattr__(self, "estimators", tuple(self.estimators))
         _check_names(self.estimators)
         _nb_cdf(self.size, self.prob)
@@ -142,10 +155,18 @@ def _nb_cdf_or_refusal(size: int, prob: float) -> np.ndarray | str:
     or where further mass cannot move it: a uniform past its end (measure ~0)
     maps to the bin past the table. Past _PMF_TABLE_CAP entries the message
     refusing the table is returned, and cached, instead.
+
+    Two closed forms refuse without walking. The walk cannot end before the
+    mode floor((size - 1) q / prob). For size 1 the cdf is 1 - q^(x+1), and
+    the walk cannot end within n entries while q^n, the mass past them,
+    exceeds 2^-52 (1 / prob + 4 n): the margin covers the rounding of
+    q = 1 - prob and of the walk's n products and n sums, and keeps its term
+    prob q^x above its 2^-54 share of the total as well.
     """
     q = 1.0 - prob
-    # the walk cannot end before the mode floor((size - 1) q / prob): refuse one past the cap
-    last = _PMF_TABLE_CAP if (size - 1) * q / prob < _PMF_TABLE_CAP + 1 else -1
+    n = _PMF_TABLE_CAP + 1
+    past = (size - 1) * q / prob >= n or (size == 1 and q**n > 2.0**-52 * (1.0 / prob + 4 * n))
+    last = -1 if past else _PMF_TABLE_CAP
     log_current = size * math.log(prob)
     current = math.exp(log_current)
     cdf_values: list[float] = []
@@ -244,8 +265,7 @@ def error_stats(estimates: Sequence[float], true_c: float, trim: float) -> Error
     values = np.asarray(estimates, dtype=float)
     if values.size == 0:
         raise ValueError("no estimates to summarize")
-    if not (0.0 <= trim < 0.5):
-        raise ValueError("trim must lie in [0, 0.5)")
+    _check_trim(trim)
     squared = (values - true_c) ** 2
     return ErrorStats(
         trimmed_rmse=math.sqrt(_trimmed_mean(squared, trim)),
@@ -388,8 +408,7 @@ def calibration_from_report(report: SimulationReport) -> CalibrationResult:
     actual spread; negative means they understate it. A zero MAD (every
     replicate identical) leaves the relative error undefined and flagged.
     """
-    if len(report.stats) != 1:
-        raise ValueError("SE calibration runs one estimator at a time")
+    _check_one_estimator(report.stats)
     entry = report.stats[0]
     if entry.failures >= report.config.reps:
         raise AllReplicatesFailedError("every replicate failed; nothing to calibrate")
@@ -402,8 +421,7 @@ def calibration_from_report(report: SimulationReport) -> CalibrationResult:
 
 def se_calibration(cfg: SimulationConfig, workers: int = 1) -> CalibrationResult:
     """Run a single-estimator configuration and calibrate its standard errors."""
-    if len(cfg.estimators) != 1:
-        raise ValueError("SE calibration runs one estimator at a time")
+    _check_one_estimator(cfg.estimators)
     return calibration_from_report(run_replications(cfg, workers=workers))
 
 
@@ -422,8 +440,7 @@ def _check_curve_arguments(fractions: Sequence[float], reps: int) -> None:
         raise ValueError("no fractions given")
     if any(not (0.0 < x <= 1.0) for x in fractions):
         raise ValueError("fractions must lie in (0, 1]")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_reps(reps)
 
 
 def subsample_curve(

@@ -349,7 +349,7 @@ class TestJointBatch:
         with_series = 0
         for tbl in tables:
             try:
-                estimators._breakaway_series(tbl)
+                estimators._series(tbl, 1)
                 with_series += 1
             except ESTIMATOR_FAILURES:
                 pass
@@ -507,7 +507,7 @@ class TestBreakaway:
         # Var(C) = Var(f0) - c f0/C = 256 + 26.2144
         t = table({1: 128, 2: 64, 3: 32, 4: 16, 5: 8})
         fit = synthetic_fit((0.5, 0.0), cov=[[1e-4, 3e-5], [3e-5, 2e-4]])
-        est = estimators._breakaway_estimate(t, fit)
+        est = estimators._estimate(t, fit, 1)
         assert est.se == pytest.approx(math.sqrt(282.2144), rel=1e-12)
         assert est.se == pytest.approx(old_breakaway_se(fit, 128, 248, 256.0), rel=1e-13)
 
@@ -655,8 +655,39 @@ def old_nof1_se(fit, tbl, f0_hat, f1_hat):
     return math.sqrt(var_c)
 
 
+def old_breakaway_estimate(tbl, fit):
+    """breakaway's estimate step as written before the j_min rule, its SE the 2x2 sum."""
+    f1 = tbl.get(1)
+    with warnings.catch_warnings(record=True) as captured:
+        warnings.simplefilter("always")
+        f0_hat = f1 / derived_quantities(fit).beta0_hat
+        c = observed_richness(tbl)
+        c_hat = f0_hat + c
+        se = old_breakaway_se(fit, f1, c, f0_hat)
+    notes = [str(w.message) for w in captured]
+    return RichnessEstimate(
+        "breakaway", float(c_hat), float(f0_hat), None, float(se), fit.model, notes
+    )
+
+
+def old_nof1_estimate(tbl, fit):
+    """nof1's estimate step as written before the j_min rule, its SE the 3x3 sum."""
+    with warnings.catch_warnings(record=True) as captured:
+        warnings.simplefilter("always")
+        quantities = derived_quantities(fit)
+        f1_hat = tbl.get(2) / quantities.b_hat
+        f0_hat = f1_hat / quantities.beta0_hat
+        n = sum(f for j, f in tbl.entries if j >= 2)
+        c_hat = f0_hat + f1_hat + n
+        se = old_nof1_se(fit, tbl, f0_hat, f1_hat)
+    notes = [str(w.message) for w in captured]
+    return RichnessEstimate(
+        "nof1", float(c_hat), float(f0_hat), float(f1_hat), float(se), fit.model, notes
+    )
+
+
 class TestDeltaMethodRule:
-    """Var(C) = Var(U) - n U / C against the expanded covariance sums above."""
+    """The j_min estimate step against the two estimate steps and covariance sums above."""
 
     def test_batch_ses_match_the_expanded_sums(self, monkeypatch):
         # Table-1 at rates 0, +100 and -80 (rate 0 is also criterion 5's first
@@ -687,12 +718,7 @@ class TestDeltaMethodRule:
             return out
 
         monkeypatch.setattr(estimators, "_select_batch", spy)
-        references = {
-            "nof1": lambda fit, tbl, est: old_nof1_se(fit, tbl, est.f0_hat, est.f1_hat),
-            "breakaway": lambda fit, tbl, est: old_breakaway_se(
-                fit, tbl.get(1), observed_richness(tbl), est.f0_hat
-            ),
-        }
+        references = {"nof1": old_nof1_estimate, "breakaway": old_breakaway_estimate}
         clamped = 0
         for name, reference in references.items():
             selected.clear()
@@ -701,11 +727,9 @@ class TestDeltaMethodRule:
             fits = [o[0] for o in selected if not isinstance(o, NoAdmissibleModelError)]
             assert len(done) > 0.9 * len(tables)
             for (tbl, est), fit in zip(done, fits, strict=True):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    want = reference(fit, tbl, est)
-                assert math.isclose(est.se, want, rel_tol=1e-13), (name, est.se, want)
-                assert est.warnings == [str(w.message) for w in caught]
+                want = reference(tbl, fit)
+                assert math.isclose(est.se, want.se, rel_tol=1e-13), (name, est.se, want.se)
+                assert est == RichnessEstimate(**{**vars(want), "se": est.se}), name
                 clamped += est.se == 0.0
         # the clamp is exercised, and agrees, on some of these tables
         assert clamped > 0

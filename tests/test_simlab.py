@@ -173,25 +173,33 @@ class TestSampleNbCounts:
             sample_nb_counts(10, size, 0.5, replicate_rng(1, 0))
 
     def test_mode_past_the_cap_refused_like_the_walk(self, monkeypatch):
-        # modes floor((size - 1)(1 - prob)/prob) from 990 to 1010 around a cap of 1000
+        # modes floor((size - 1)(1 - prob)/prob) from 990 to 1010 around a cap of
+        # 1000, and size-1 probs from 0.02 to 0.04, over which the walk's end
+        # passes entry 1000 (at prob 0.033) and the closed form's (at 0.027)
         monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
+        pairs = [
+            (size, (size - 1) / (mode + 0.5 + size - 1))
+            for size in (2, 3, 10, 200)
+            for mode in range(990, 1011)
+        ] + [(1, 0.02 + k * 0.0005) for k in range(41)]
         refused_by_bound = 0
-        for size in (2, 3, 10, 200):
-            for mode in range(990, 1011):
-                prob = (size - 1) / (mode + 0.5 + size - 1)
-                try:
-                    want = old_nb_cdf(size, prob)
-                except ValueError as exc:
-                    want = str(exc)
-                got = simlab._nb_cdf_or_refusal(size, prob)
-                if (size - 1) * (1.0 - prob) / prob >= 1001:
-                    refused_by_bound += 1
-                    assert isinstance(want, str), (size, prob)
-                if isinstance(want, str):
-                    assert got == want, (size, prob)
-                else:
-                    assert np.array_equal(got, want), (size, prob)
-        assert refused_by_bound == 40
+        for size, prob in pairs:
+            try:
+                want = old_nb_cdf(size, prob)
+            except ValueError as exc:
+                want = str(exc)
+            got = simlab._nb_cdf_or_refusal(size, prob)
+            q = 1.0 - prob
+            if (size - 1) * q / prob >= 1001 or (
+                size == 1 and q**1001 > 2.0**-52 * (1.0 / prob + 4 * 1001)
+            ):
+                refused_by_bound += 1
+                assert isinstance(want, str), (size, prob)
+            if isinstance(want, str):
+                assert got == want, (size, prob)
+            else:
+                assert np.array_equal(got, want), (size, prob)
+        assert refused_by_bound == 40 + 15
 
     def test_a_second_refusal_is_a_cache_hit(self, monkeypatch):
         monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
