@@ -115,12 +115,6 @@ def _f_tail(dfn: int, dfd: int, y: float) -> float:
     return y ** (dfd / 2) * total
 
 
-def _denominator_values(model: RationalModel, grid: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(
-        grid.astype(float), np.array((1.0,) + model.alpha)
-    )
-
-
 def _fit_each(
     batch: Sequence[RatioSeries], p: int, q: int
 ) -> list[FitResult | RankDeficiencyError]:
@@ -140,8 +134,8 @@ def _rejection(
     """Why a rung's fit is not admissible, or None when it is."""
     if isinstance(fit, RankDeficiencyError) or not fit.converged:
         return "no-convergence"
-    grid = np.arange(int(series.j[0]), int(series.j[-1]) + 2)
-    if np.any(_denominator_values(fit.model, grid) <= 0.0):
+    grid = np.arange(float(series.j[0]), float(series.j[-1]) + 2.0)
+    if np.any(np.polynomial.polynomial.polyval(grid, (1.0,) + fit.model.alpha) <= 0.0):
         return "denominator-violation"
     if require_f1:
         one_plus_alpha = 1.0 + sum(fit.model.alpha)
@@ -393,22 +387,19 @@ def chao1(table: FrequencyCountTable) -> RichnessEstimate:
     c = observed_richness(table)
     f1 = table.get(1)
     f2 = table.get(2)
+    f0_hat = f1 * f1 / (2.0 * f2) if f2 > 0 else f1 * (f1 - 1) / 2.0
+    c_hat = c + f0_hat
     if f2 > 0:
-        f0_hat = f1 * f1 / (2.0 * f2)
         ratio = f1 / f2
         var = f2 * (ratio**4 / 4.0 + ratio**3 + ratio**2 / 2.0)
+    elif f1 == 0:
+        var = 0.0
     else:
-        f0_hat = f1 * (f1 - 1) / 2.0
-        c_hat = c + f0_hat
-        if f1 == 0:
-            var = 0.0
-        else:
-            var = (
-                f1 * (f1 - 1) / 2.0
-                + f1 * (2 * f1 - 1) ** 2 / 4.0
-                - f1**4 / (4.0 * c_hat)
-            )
-    c_hat = c + f0_hat
+        var = (
+            f1 * (f1 - 1) / 2.0
+            + f1 * (2 * f1 - 1) ** 2 / 4.0
+            - f1**4 / (4.0 * c_hat)
+        )
     return RichnessEstimate(
         estimator="chao1",
         C_hat=float(c_hat),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "FrequencyCountTable",
@@ -40,8 +40,8 @@ class FrequencyCountTable:
 
     Entries are (j, f_j) pairs sorted by j. Zero frequencies are never stored;
     absence of a count value means f_j = 0. A lookup dict built once at
-    construction backs get; it is not a field, so equality, hashing and
-    repr see the entries alone.
+    construction backs get and tail_cutoff; it is not a field, so equality,
+    hashing and repr see the entries alone.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -77,6 +77,14 @@ class FrequencyCountTable:
         return self.entries[-1][0]
 
 
+def _data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, fields) for each line that is not blank or a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, line.replace(",", " ").split()
+
+
 def parse_frequency_table(text: str) -> FrequencyCountTable:
     """Parse two-column "j f_j" text (tab, comma, or whitespace separated).
 
@@ -87,28 +95,16 @@ def parse_frequency_table(text: str) -> FrequencyCountTable:
     """
     counts: dict[int, int] = {}
     seen: set[int] = set()
-    saw_data = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.replace(",", " ").split()
-        values: list[int] = []
-        parse_ok = True
-        for tok in fields:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                parse_ok = False
-                break
-        if not parse_ok:
-            if not saw_data and any(ch.isalpha() for ch in line):
+    for lineno, line, fields in _data_lines(text):
+        try:
+            values = [int(tok) for tok in fields]
+        except ValueError:
+            if not seen and any(ch.isalpha() for ch in line):
                 warnings.warn(f"skipping header row at line {lineno}: {line!r}")
                 continue
-            raise ValueError(f"line {lineno}: non-integer field in {line!r}")
+            raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
         if len(values) != 2:
             raise ValueError(f"line {lineno}: expected two fields, got {len(values)}")
-        saw_data = True
         j, f = values
         if j < 1:
             raise ValueError(f"line {lineno}: count value must be >= 1, got {j}")
@@ -133,11 +129,7 @@ def parse_abundance_vector(text: str) -> list[int]:
     is rejected (that is frequency-table format, not an abundance vector).
     """
     out: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.replace(",", " ").split()
+    for lineno, _, fields in _data_lines(text):
         if len(fields) != 1:
             raise ValueError(
                 f"line {lineno}: expected one count per line, got {len(fields)} fields"
@@ -180,11 +172,10 @@ def tail_cutoff(table: FrequencyCountTable, j_start: int) -> int:
     Raises InsufficientDataError when fewer than MIN_RATIO_POINTS ratio
     points survive.
     """
-    have = {j for j, _ in table.entries}
-    if j_start not in have:
+    if j_start not in table._lookup:
         raise ValueError(f"table has no entry at count value {j_start}")
     end = j_start
-    while end + 1 in have:
+    while end + 1 in table._lookup:
         end += 1
     big_j = end - 1
     n_points = big_j - j_start + 1

@@ -182,10 +182,9 @@ def build_ratio_series(table: FrequencyCountTable, j_min: int) -> RatioSeries:
     J comes from tail_cutoff, so insufficient data propagates from there.
     """
     big_j = tail_cutoff(table, j_min)
-    js = np.arange(j_min, big_j + 1)
-    lo = np.array([table.get(int(j)) for j in js], dtype=float)
-    hi = np.array([table.get(int(j) + 1) for j in js], dtype=float)
-    return RatioSeries(j=js, ratio=hi / lo, count_lo=lo, count_hi=hi)
+    counts = np.array([table.get(j) for j in range(j_min, big_j + 2)], dtype=float)
+    lo, hi = counts[:-1], counts[1:]
+    return RatioSeries(j=np.arange(j_min, big_j + 1), ratio=hi / lo, count_lo=lo, count_hi=hi)
 
 
 class FittingChart(NamedTuple):
@@ -501,8 +500,7 @@ def _fit_results(
     # chart coordinates: c and the q tangent directions of d
     embed = np.zeros((size, k + 1, k))
     embed[:, : p + 1, : p + 1] = _eye(p + 1)
-    if q:
-        embed[:, p + 1 :, p + 1 :] = _tangent_basis(d)
+    embed[:, p + 1 :, p + 1 :] = _tangent_basis(d)
     jw = sw[:, :, None] * np.matmul(jac, embed)
     gram = np.matmul(jw.transpose(0, 2, 1), jw)
     scale = np.sqrt(gram.diagonal(axis1=1, axis2=2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -169,7 +170,7 @@ def _nb_cdf_or_refusal(size: int, prob: float) -> np.ndarray | str:
     last = -1 if past else _PMF_TABLE_CAP
     log_current = size * math.log(prob)
     current = math.exp(log_current)
-    cdf_values: list[float] = []
+    cdf_values = array("d")
     total = 0.0
     for x in range(last + 1):
         total += current

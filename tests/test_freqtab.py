@@ -39,17 +39,24 @@ class TestParse:
         )
 
     def test_comments_and_blank_lines(self):
-        t = parse_frequency_table("# a comment\n\n1 3\n# trailing\n2 1\n")
-        assert t.counts == {1: 3, 2: 1}
+        for text in (
+            "# a comment\n\n1 3\n# trailing\n2 1\n",
+            "# a comment\r\n\r\n1 3\r\n# trailing\r\n2 1\r\n",
+            "  \t \n1 3\n   \n  2 1  \n",
+        ):
+            assert parse_frequency_table(text).counts == {1: 3, 2: 1}, text
 
     def test_header_row_skipped_with_warning(self):
         with pytest.warns(UserWarning, match="header"):
             t = parse_frequency_table("count,taxa\n1,7\n2,3")
         assert t.counts == {1: 7, 2: 3}
 
+    @pytest.mark.filterwarnings("ignore:dropping zero-frequency row")
     def test_non_integer_field_after_data_rejected(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_frequency_table("1,7\nx,3")
+        # a header-looking row after a zero-frequency row is data, not a header
+        for text in ("1,7\nx,3", "1,0\ncount,taxa"):
+            with pytest.raises(ValueError, match="line 2: non-integer field"):
+                parse_frequency_table(text)
 
     def test_float_field_rejected_not_header(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -75,7 +82,12 @@ class TestParse:
 
 class TestParseAbundances:
     def test_basic(self):
-        assert parse_abundance_vector("3\n1\n2\n") == [3, 1, 2]
+        for text in (
+            "3\n1\n2\n",
+            "# counts\r\n3\r\n\r\n1\r\n  \r\n2\r\n",
+            "\n# counts\n3\n  \n1\n# more\n2",
+        ):
+            assert parse_abundance_vector(text) == [3, 1, 2], text
 
     def test_two_fields_rejected(self):
         with pytest.raises(ValueError, match="one count per line"):

@@ -69,6 +69,17 @@ class TestBuildRatioSeries:
         with pytest.raises(InsufficientDataError):
             build_ratio_series(table({2: 5, 4: 3}), 2)
 
+    def test_reads_each_count_once(self, monkeypatch):
+        t = table({1: 40, 2: 30, 3: 20, 4: 12, 5: 7, 6: 3, 7: 1, 9: 1})
+        get = type(t).get
+        calls = []
+        monkeypatch.setattr(type(t), "get", lambda self, j: calls.append(j) or get(self, j))
+        s = build_ratio_series(t, 2)
+        assert calls == [2, 3, 4, 5, 6, 7]
+        assert len(calls) == len(s) + 1
+        assert list(s.count_lo) == [30, 20, 12, 7, 3]
+        assert list(s.count_hi) == [20, 12, 7, 3, 1]
+
 
 class TestEvalModel:
     def test_polynomial(self):

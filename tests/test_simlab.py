@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,19 @@ class TestSampleNbCounts:
                     sample_nb_counts(10, size, prob, replicate_rng(1, 0))
         info = simlab._nb_cdf_or_refusal.cache_info()
         assert (info.hits, info.misses) == (2, 2)
+
+    def test_a_refused_walk_holds_eight_bytes_an_entry(self, monkeypatch):
+        # (2, 1e-5) has its mode just inside the cap, so it walks all 100,001 entries
+        monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 100_000)
+        rng = replicate_rng(1, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="need a cdf table of over 100000"):
+                sample_nb_counts(10, 2, 1e-5, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_underflowing_p0_still_samples(self):
         # prob**size underflows to zero; the log-space walk must cope
