@@ -85,11 +85,20 @@ def _data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
             yield lineno, line, line.replace(",", " ").split()
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_frequency_table(text: str) -> FrequencyCountTable:
     """Parse two-column "j f_j" text (tab, comma, or whitespace separated).
 
-    Blank lines and lines starting with '#' are ignored. A leading header row
-    with alphabetic fields is skipped with a warning. Zero-frequency rows are
+    Blank lines and lines starting with '#' are ignored. A leading row with
+    letters in it and a field that is not a number is a header, skipped with
+    a warning; "1e3,5" is data. Zero-frequency rows are
     dropped with a warning; duplicate count values, negative fields, and
     non-integer fields are rejected with their line number.
     """
@@ -99,7 +108,7 @@ def parse_frequency_table(text: str) -> FrequencyCountTable:
         try:
             values = [int(tok) for tok in fields]
         except ValueError:
-            if not seen and any(ch.isalpha() for ch in line):
+            if not seen and any(ch.isalpha() for ch in line) and not all(map(_is_number, fields)):
                 warnings.warn(f"skipping header row at line {lineno}: {line!r}")
                 continue
             raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None

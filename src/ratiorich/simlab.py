@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -53,6 +52,7 @@ __all__ = [
 # making the MAD column directly comparable against reported standard errors.
 MAD_SCALE = 1.4826
 _PMF_TABLE_CAP = 10_000_000
+_CHUNK = 4096  # cdf entries per numpy step: a step's arrays hold about 200 kB
 # Replicates estimated as one batch at most. A batch holds about 20 kB per
 # replicate until it is done; by this size the lockstep fit has no speed
 # left to gain from a larger one.
@@ -72,6 +72,8 @@ def _check_population(C: int, size: int, prob: float) -> None:
         raise ValueError("C must be >= 1")
     if size < 1:
         raise ValueError("size must be >= 1")
+    if size > 2**53:
+        raise ValueError("size must be <= 2**53")
     if not (0.0 < prob < 1.0):
         raise ValueError("prob must lie strictly inside (0, 1)")
 
@@ -145,44 +147,54 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-@lru_cache(maxsize=16)
-def _nb_cdf_or_refusal(size: int, prob: float) -> np.ndarray | str:
-    """The negative-binomial cdf at 0, 1, 2, ... as far as a uniform draw can reach.
+def _cdf_walk(size: int, prob: float, out: np.ndarray | None = None) -> int | None:
+    """Length of the negative-binomial cdf table, or None past _PMF_TABLE_CAP entries.
 
-    The pmf starts at P(0) = prob**size and follows the recurrence
-    P(x+1) = P(x) * (1 - prob) * (x + size) / (x + 1); when P(0) underflows,
-    the walk tracks the log-pmf until the probabilities become representable.
-    The table ends at 1 - 2**-53, the largest uniform Generator.random draws,
-    or where further mass cannot move it: a uniform past its end (measure ~0)
-    maps to the bin past the table. Past _PMF_TABLE_CAP entries the message
-    refusing the table is returned, and cached, instead.
-
-    Two closed forms refuse without walking. The walk cannot end before the
-    mode floor((size - 1) q / prob). For size 1 the cdf is 1 - q^(x+1), and
-    the walk cannot end within n entries while q^n, the mass past them,
-    exceeds 2^-52 (1 / prob + 4 n): the margin covers the rounding of
-    q = 1 - prob and of the walk's n products and n sums, and keeps its term
-    prob q^x above its 2^-54 share of the total as well.
+    The pmf follows P(0) = prob**size, P(x+1) = P(x) (1 - prob)(x + size)/(x + 1),
+    summed in log space with the cdf at 0 until P(x) reaches 2**-1022, the
+    smallest normal double: a subnormal start would scale the table by its
+    rounding error. The table ends at 1 - 2**-53, the largest uniform
+    Generator.random draws, or where further mass cannot move it; a uniform past
+    its end (measure ~0) maps to the bin past the table. A numpy step walks
+    _CHUNK entries with math.log and sequential accumulates, so every sum and
+    product is the one-entry walk's, in order; out receives the nonzero cdf.
     """
     q = 1.0 - prob
     n = _PMF_TABLE_CAP + 1
-    past = (size - 1) * q / prob >= n or (size == 1 and q**n > 2.0**-52 * (1.0 / prob + 4 * n))
-    last = -1 if past else _PMF_TABLE_CAP
-    log_current = size * math.log(prob)
-    current = math.exp(log_current)
-    cdf_values = array("d")
+    normal = 2.0**-1022
+    x, log_current = 0, size * math.log(prob)
+    while (current := math.exp(log_current)) < normal and x < n:
+        up = np.fromiter(map(math.log, range(x + size, x + size + _CHUNK)), float, _CHUNK)
+        down = np.fromiter(map(math.log, range(x + 1, x + 1 + _CHUNK)), float, _CHUNK)
+        logs = np.add.accumulate(np.concatenate(([log_current], (math.log(q) + up) - down)))
+        # exp(-720) is far below 2**-1022: only the entries above it need math.exp
+        i = next((i for i in np.flatnonzero(logs > -720.0) if math.exp(logs[i]) >= normal), _CHUNK)
+        x, log_current = x + i, logs[i]
     total = 0.0
-    for x in range(last + 1):
-        total += current
-        cdf_values.append(total)
-        if total >= 1.0 - 2.0**-53 or (total > 0.0 and current < total * 2.0**-54):
-            return np.asarray(cdf_values)
-        if current > 0.0:
-            current *= q * (x + size) / (x + 1)
-        else:
-            log_current += math.log(q) + math.log(x + size) - math.log(x + 1)
-            current = math.exp(log_current)
-    return f"size {size} and prob {prob!r} need a cdf table of over {_PMF_TABLE_CAP} entries"
+    while x < n:
+        k = np.arange(x, min(x + _CHUNK, n))
+        pmf = np.multiply.accumulate(np.concatenate(([current], q * (k + size) / (k + 1))))
+        cdf = np.add.accumulate(np.concatenate(([total], pmf[:-1])))[1:]
+        ends = np.flatnonzero((cdf >= 1.0 - 2.0**-53) | ((cdf > 0.0) & (pmf[:-1] < cdf * 2.0**-54)))
+        m = ends[0] + 1 if ends.size else k.size
+        if out is not None:
+            out[x : x + m] = cdf[:m]
+        if ends.size:
+            return x + m
+        x, current, total = x + k.size, pmf[-1], cdf[-1]
+    return None
+
+
+@lru_cache(maxsize=16)
+def _nb_cdf_or_refusal(size: int, prob: float) -> np.ndarray | str:
+    """_cdf_walk's table, or the message refusing it, cached as well.
+
+    The first walk only measures the table, so a refusal holds no table.
+    """
+    if (length := _cdf_walk(size, prob)) is None:
+        return f"size {size} and prob {prob!r} need a cdf table of over {_PMF_TABLE_CAP} entries"
+    _cdf_walk(size, prob, table := np.zeros(length))
+    return table
 
 
 def _nb_cdf(size: int, prob: float) -> np.ndarray:
@@ -214,9 +226,7 @@ def truncate_to_observed(counts: Sequence[int] | np.ndarray) -> FrequencyCountTa
 
 
 def _round_half_away(x: float) -> int:
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return -int(math.floor(-x + 0.5))
+    return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
 def apply_chimeric_inflation(
@@ -231,17 +241,14 @@ def apply_chimeric_inflation(
     rule of SimulationConfig applies first: ValueError unless it is finite.
     """
     _check_rate(rate_percent)
-    f1 = table.get(1)
-    if f1 == 0:
+    if not (f1 := table.get(1)):
         return table
     new_f1 = max(0, _round_half_away(f1 * (1.0 + rate_percent / 100.0)))
-    remaining = [(j, f) for j, f in table.entries if j != 1]
-    if new_f1 > 0:
-        remaining.append((1, new_f1))
-    remaining.sort()
-    if not remaining:
+    # the singletons are the first entry
+    entries = (((1, new_f1),) if new_f1 else ()) + table.entries[1:]
+    if not entries:
         raise DegenerateSampleError("singleton removal emptied the table")
-    return FrequencyCountTable(tuple(remaining))
+    return FrequencyCountTable(entries)
 
 
 class ErrorStats(NamedTuple):

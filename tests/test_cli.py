@@ -376,6 +376,16 @@ class TestRejectedBeforeRunning:
         assert out == ""
         assert err == self.EXTREME_CDF
 
+    def test_simulate_size_past_two_to_the_53_exit_1(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = ["simulate", "--C", "10", "--size", "10000000000000000000", "--prob", "0.5",
+                "--reps", "1", "--seed", "1", "--out", str(out)]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: size must be <= 2**53\n"
+        assert not out.exists()
+
     def test_simulate_no_estimator_exit_1_before_echo(self, capsys, tmp_path):
         out = tmp_path / "r.csv"
         argv = self.SIMULATE + ["--estimators", ",", "--out", str(out)]

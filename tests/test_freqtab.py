@@ -59,8 +59,10 @@ class TestParse:
                 parse_frequency_table(text)
 
     def test_float_field_rejected_not_header(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_frequency_table("1.5,3\n2,1")
+        # "1e3,5" has a letter but is all numbers: data, not a header to skip
+        for text in ("1.5,3\n2,1", "1e3,5\n1,3\n2,1"):
+            with pytest.raises(ValueError, match="line 1: non-integer field"):
+                parse_frequency_table(text)
 
     def test_zero_frequency_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="zero-frequency"):

@@ -29,13 +29,19 @@ from ratiorich.simlab import (
 from helpers import table
 
 
+def normal_pmf(log_pmf):
+    """exp(log_pmf), or 0 below 2**-1022: the walk starts its products at a normal pmf."""
+    pmf = math.exp(log_pmf)
+    return pmf if pmf >= 2.0**-1022 else 0.0
+
+
 def old_sample_nb_counts(C, size, prob, rng):
     """The sampler with its cdf table walked per call, up to the call's largest uniform."""
     u = rng.random(C)
     u_max = float(np.max(u))
     q = 1.0 - prob
     log_current = size * math.log(prob)
-    current = math.exp(log_current)
+    current = normal_pmf(log_current)
     cdf_values, total, x = [], 0.0, 0
     while True:
         total += current
@@ -46,7 +52,7 @@ def old_sample_nb_counts(C, size, prob, rng):
             current *= q * (x + size) / (x + 1)
         else:
             log_current += math.log(q) + math.log(x + size) - math.log(x + 1)
-            current = math.exp(log_current)
+            current = normal_pmf(log_current)
         x += 1
     return np.searchsorted(np.asarray(cdf_values), u, side="left").astype(np.int64)
 
@@ -55,7 +61,7 @@ def old_nb_cdf(size, prob):
     """The cdf table walked entry by entry until it ends or passes simlab._PMF_TABLE_CAP."""
     q = 1.0 - prob
     log_current = size * math.log(prob)
-    current = math.exp(log_current)
+    current = normal_pmf(log_current)
     cdf_values, total, x = [], 0.0, 0
     while True:
         total += current
@@ -69,7 +75,7 @@ def old_nb_cdf(size, prob):
             current *= q * (x + size) / (x + 1)
         else:
             log_current += math.log(q) + math.log(x + size) - math.log(x + 1)
-            current = math.exp(log_current)
+            current = normal_pmf(log_current)
         x += 1
 
 
@@ -129,7 +135,7 @@ class TestSampleNbCounts:
     def test_same_draws_as_a_table_walked_to_the_largest_uniform(self):
         # the table runs on to 1 - 2**-53, which moves no searchsorted(side="left")
         for size, prob in ((500, 0.99), (100, 0.95), (1, 0.7), (10, 0.5), (40, 0.9),
-                           (50_000, 0.99), (1, 1e-4)):
+                           (50_000, 0.99), (100_000, 0.99), (1, 1e-4)):
             for i in range(5):
                 got = sample_nb_counts(2000, size, prob, replicate_rng(5, i))
                 want = old_sample_nb_counts(2000, size, prob, replicate_rng(5, i))
@@ -176,31 +182,40 @@ class TestSampleNbCounts:
     def test_mode_past_the_cap_refused_like_the_walk(self, monkeypatch):
         # modes floor((size - 1)(1 - prob)/prob) from 990 to 1010 around a cap of
         # 1000, and size-1 probs from 0.02 to 0.04, over which the walk's end
-        # passes entry 1000 (at prob 0.033) and the closed form's (at 0.027)
+        # passes entry 1000 (at prob 0.033), and two whose P(0) underflows;
+        # chunks of 1 and 7 put a chunk boundary at every entry and off every
+        # power of two
         monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
         pairs = [
             (size, (size - 1) / (mode + 0.5 + size - 1))
             for size in (2, 3, 10, 200)
             for mode in range(990, 1011)
-        ] + [(1, 0.02 + k * 0.0005) for k in range(41)]
-        refused_by_bound = 0
+        ] + [(1, 0.02 + k * 0.0005) for k in range(41)] + [(100_000, 0.99), (80_000, 0.991)]
+        wants = {}
         for size, prob in pairs:
             try:
-                want = old_nb_cdf(size, prob)
+                wants[size, prob] = old_nb_cdf(size, prob)
             except ValueError as exc:
-                want = str(exc)
-            got = simlab._nb_cdf_or_refusal(size, prob)
-            q = 1.0 - prob
-            if (size - 1) * q / prob >= 1001 or (
-                size == 1 and q**1001 > 2.0**-52 * (1.0 / prob + 4 * 1001)
-            ):
-                refused_by_bound += 1
-                assert isinstance(want, str), (size, prob)
-            if isinstance(want, str):
-                assert got == want, (size, prob)
-            else:
-                assert np.array_equal(got, want), (size, prob)
-        assert refused_by_bound == 40 + 15
+                wants[size, prob] = str(exc)
+        for chunk in (1, 7, simlab._CHUNK):
+            monkeypatch.setattr(simlab, "_CHUNK", chunk)
+            simlab._nb_cdf_or_refusal.cache_clear()
+            for (size, prob), want in wants.items():
+                got = simlab._nb_cdf_or_refusal(size, prob)
+                if isinstance(want, str):
+                    assert got == want, (size, prob, chunk)
+                else:
+                    assert np.array_equal(got, want), (size, prob, chunk)
+        assert 0 < sum(isinstance(w, str) for w in wants.values()) < len(wants)
+
+    @pytest.mark.parametrize("size, prob", [(2, 1e-7), (1, 2e-6), (1, 1e-17), (3, 1e-7), (1, 1e-6)])
+    def test_a_walk_past_the_real_cap_is_refused(self, size, prob):
+        # each walks the pmf to entry 10,000,000 without the cdf ending
+        with pytest.raises(ValueError) as exc:
+            sample_nb_counts(10, size, prob, replicate_rng(1, 0))
+        assert str(exc.value) == (
+            f"size {size} and prob {prob!r} need a cdf table of over 10000000 entries"
+        )
 
     def test_a_second_refusal_is_a_cache_hit(self, monkeypatch):
         monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
@@ -226,11 +241,31 @@ class TestSampleNbCounts:
         assert peak < 2_000_000
 
     def test_underflowing_p0_still_samples(self):
-        # prob**size underflows to zero; the log-space walk must cope
-        rng = replicate_rng(11, 0)
-        draws = sample_nb_counts(2000, 50_000, 0.99, rng)
-        mean = 50_000 * 0.01 / 0.99
-        assert abs(draws.mean() - mean) <= 5 * math.sqrt(50_000 * 0.01 / 0.99**2 / 2000)
+        # 0.99**100_000 underflows to zero, so the walk starts in log space and
+        # its table opens with 88 zero entries, up to the first normal pmf
+        assert 0.99**100_000 == 0.0
+        assert np.count_nonzero(simlab._nb_cdf(100_000, 0.99) == 0.0) == 88
+        draws = sample_nb_counts(2000, 100_000, 0.99, replicate_rng(11, 0))
+        mean = 100_000 * 0.01 / 0.99
+        assert abs(draws.mean() - mean) <= 5 * math.sqrt(100_000 * 0.01 / 0.99**2 / 2000)
+
+    @pytest.mark.parametrize("size, prob", [(100_000, 0.99), (200, 0.01), (500, 0.2), (300, 0.05)])
+    def test_a_walk_from_log_space_ends_at_one(self, size, prob):
+        # products started from the first nonzero P(x), a subnormal with few
+        # bits, would scale the table by its rounding error: (100_000, 0.99)
+        # would start at 1e-323 and end at 1.0098, 0.75 sd above its mean
+        table = simlab._nb_cdf(size, prob)
+        assert abs(table[-1] - 1.0) < 1e-12
+        mean = size * (1 - prob) / prob
+        assert table.size - 1 > mean + 8 * math.sqrt(mean / prob)
+
+    def test_size_past_two_to_the_53_rejected(self):
+        # past 2**53 a double no longer holds x + size exactly
+        simlab._nb_cdf(2**53, 1 - 2**-45)
+        with pytest.raises(ValueError, match=r"size must be <= 2\*\*53"):
+            sample_nb_counts(10, 2**53 + 1, 0.5, replicate_rng(1, 0))
+        with pytest.raises(ValueError, match=r"size must be <= 2\*\*53"):
+            SimulationConfig(C=10, size=10**19, prob=1 - 2**-52)
 
 
 class TestTruncate:
