@@ -17,7 +17,6 @@ import functools
 import itertools
 import json
 import os
-import secrets
 import stat
 import sys
 import warnings
@@ -57,8 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    """--seed, or a fresh seed when it is omitted."""
-    return secrets.randbits(63) if args.seed is None else simlab._check_seed(args.seed)
+    """--seed, or a fresh seed in [0, 2**63) from the OS's entropy when it is omitted."""
+    if args.seed is None:
+        return int.from_bytes(os.urandom(8), "big") >> 1
+    return simlab._check_seed(args.seed)
 
 
 def _envelope(command: str, cfg: dict, results, warning_list: list[str]) -> dict:

@@ -42,6 +42,7 @@ from .ratiofit import (
     RationalModel,
     RatioSeries,
     _fit_batch,
+    _polyval,
     build_ratio_series,
     derived_quantities,
 )
@@ -135,7 +136,7 @@ def _rejection(
     if isinstance(fit, RankDeficiencyError) or not fit.converged:
         return "no-convergence"
     grid = np.arange(float(series.j[0]), float(series.j[-1]) + 2.0)
-    if np.any(np.polynomial.polynomial.polyval(grid, (1.0,) + fit.model.alpha) <= 0.0):
+    if np.any(_polyval(grid, (1.0,) + fit.model.alpha) <= 0.0):
         return "denominator-violation"
     if require_f1:
         one_plus_alpha = 1.0 + sum(fit.model.alpha)

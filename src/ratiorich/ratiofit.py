@@ -123,14 +123,26 @@ class RationalModel:
         return cls(tuple(theta[: p + 1]), tuple(theta[p + 1 :]))
 
 
+def _polyval(x: np.ndarray, coefficients: Sequence[float]) -> np.ndarray:
+    """c0 + c1 x + ... + cn x^n by Horner's rule, for the coefficients c0..cn.
+
+    The operations are numpy.polynomial.polynomial.polyval's, in its order, so
+    the values equal polyval's bit for bit and numpy.polynomial stays unimported.
+    """
+    acc = coefficients[-1] + x * 0
+    for c in reversed(coefficients[:-1]):
+        acc = c + acc * x
+    return acc
+
+
 def eval_model(model: RationalModel, j: float | np.ndarray) -> float | np.ndarray:
     """Evaluate the rational model at j (scalar or array).
 
     Raises ZeroDivisionError if the denominator vanishes at any requested j.
     """
     jarr = np.asarray(j, dtype=float)
-    num = np.polynomial.polynomial.polyval(jarr, np.asarray(model.beta))
-    den = np.polynomial.polynomial.polyval(jarr, np.array((1.0,) + model.alpha))
+    num = _polyval(jarr, model.beta)
+    den = _polyval(jarr, (1.0,) + model.alpha)
     if np.any(np.abs(den) < 1e-300):
         raise ZeroDivisionError("model denominator vanishes at requested j")
     out = num / den

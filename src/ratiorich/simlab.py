@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
@@ -216,8 +215,17 @@ def sample_nb_counts(C: int, size: int, prob: float, rng: np.random.Generator) -
 
 
 def truncate_to_observed(counts: Sequence[int] | np.ndarray) -> FrequencyCountTable:
-    """Drop zero counts and build the observable frequency table."""
+    """Drop zero counts and build the observable frequency table.
+
+    A negative or non-integral count raises ValueError naming it; an integral
+    float such as 2.0 counts as its integer.
+    """
     arr = np.asarray(counts)
+    bad = arr < 0
+    if arr.dtype.kind == "f":
+        bad |= ~np.isfinite(arr) | (arr != np.floor(arr))
+    if bad.any():
+        raise ValueError(f"counts must be non-negative integers, got {arr[bad][0].item()!r}")
     observed = arr[arr > 0]
     if observed.size == 0:
         raise DegenerateSampleError("all taxa drew zero; the sample is empty")
@@ -394,6 +402,9 @@ def run_replications(cfg: SimulationConfig, workers: int = 1) -> SimulationRepor
     if blocks == 1:
         parts = [_replicate_block(cfg, 0, cfg.reps)]
     else:
+        # imported here: a serial run never loads the process pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=blocks) as pool:
             parts = list(pool.map(partial(_replicate_block, cfg), bounds[:-1], bounds[1:]))
     stats = tuple(

@@ -159,6 +159,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert '"seed": 42' in err
 
+    def test_unseeded_run_echoes_a_seed_that_reproduces_it(self, capsys, tmp_path):
+        unseeded = [arg for arg in self.ARGS if arg not in ("--seed", "42")]
+        assert main(unseeded + ["--out", str(tmp_path / "a.csv")]) == 0
+        err = capsys.readouterr().err
+        seed = json.loads(err[err.index("{") : err.index("}") + 1])["seed"]
+        assert 0 <= seed < 2**63
+        assert main(unseeded + ["--seed", str(seed), "--out", str(tmp_path / "b.csv")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_invalid_parameters_exit_1(self, capsys, tmp_path):
         code = main(
             [

@@ -100,6 +100,42 @@ class TestEvalModel:
         out = eval_model(RationalModel((0.2, 0.1)), np.array([1.0, 2.0]))
         assert np.allclose(out, [0.3, 0.4])
 
+    def test_scalar_input_returns_float(self):
+        assert type(eval_model(RationalModel((0.2, 0.1), (0.3,)), 2.0)) is float
+        assert type(eval_model(RationalModel((0.2, 0.1)), np.float64(2.0))) is float
+
+
+class TestPolyval:
+    # numpy's polyval is the reference: the helper must give its values bit for bit
+    @pytest.mark.parametrize("degree", range(5))
+    def test_equals_numpy_polyval(self, degree):
+        polyval = np.polynomial.polynomial.polyval
+        rng = np.random.default_rng(2300 + degree)
+        grids = (
+            np.arange(0.0, 40.0),
+            np.arange(-25.0, 26.0),
+            np.arange(-6, 7),
+            np.array([0.0, -0.0, -1.0, 3.0, np.inf, -np.inf, np.nan]),
+            np.array(7.0),
+            np.array(-np.inf),
+        )
+        for _ in range(20):
+            coefficients = tuple(rng.normal(scale=10.0, size=degree + 1))
+            for grid in grids:
+                with np.errstate(invalid="ignore"):  # inf * 0 is nan on both sides
+                    ours = ratiofit._polyval(grid, coefficients)
+                    theirs = polyval(grid, np.array(coefficients))
+                assert np.shape(ours) == np.shape(theirs)
+                assert np.array_equal(ours, theirs, equal_nan=True)
+
+    def test_eval_model_matches_numpy_polyval_ratio(self):
+        polyval = np.polynomial.polynomial.polyval
+        model = RationalModel((0.3, -0.02, 1e-3), (0.05, -1e-3))
+        j = np.arange(1.0, 30.0)
+        expected = polyval(j, np.array(model.beta)) / polyval(j, np.array((1.0,) + model.alpha))
+        assert np.array_equal(eval_model(model, j), expected)
+        assert eval_model(model, 4.0) == float(expected[3])
+
 
 class TestFitWnls:
     def test_exact_line_any_weighting(self):

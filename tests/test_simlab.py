@@ -280,6 +280,22 @@ class TestTruncate:
         t = truncate_to_observed([1, 2, 3, 3])
         assert sum(f for _, f in t.entries) == 4
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=r"non-negative integers, got -3\.0"):
+            truncate_to_observed([-3, 2, 2, 1.5])
+        with pytest.raises(ValueError, match=r"got -1$"):
+            truncate_to_observed(np.array([0, 1, 2, -1], dtype=np.int64))
+
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ValueError, match=r"non-negative integers, got 0\.9"):
+            truncate_to_observed([0.9, 1.2, 2.7])
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-negative integers"):
+                truncate_to_observed([1.0, bad])
+
+    def test_integral_floats_accepted(self):
+        assert truncate_to_observed([0.0, 2.0, 2.0, 1.0]).counts == {1: 1, 2: 2}
+
 
 class TestInflation:
     def test_doubling(self):
