@@ -7,105 +7,13 @@ reproduces error and calibration experiments on negative-binomial populations
 with corrupted singleton counts.
 """
 
-from .freqtab import (
-    FrequencyCountTable,
-    InsufficientDataError,
-    expand_to_abundances,
-    from_abundances,
-    observed_richness,
-    parse_abundance_vector,
-    parse_frequency_table,
-    serialize_frequency_table,
-    tail_cutoff,
-)
-from .ratiofit import (
-    DerivedQuantities,
-    FitResult,
-    RankDeficiencyError,
-    RationalModel,
-    RatioSeries,
-    build_ratio_series,
-    derived_quantities,
-    eval_model,
-    fit_wnls,
-)
-from .estimators import (
-    ESTIMATORS,
-    LADDER,
-    NoAdmissibleModelError,
-    RichnessEstimate,
-    SelectionTrace,
-    breakaway,
-    breakaway_nof1,
-    chao1,
-    nof1_standard_error,
-    select_model,
-)
-from .simlab import (
-    AllReplicatesFailedError,
-    CalibrationResult,
-    CurveRow,
-    DegenerateSampleError,
-    SimulationConfig,
-    SimulationReport,
-    apply_chimeric_inflation,
-    error_stats,
-    replicate_rng,
-    run_replications,
-    runtime_report,
-    sample_nb_counts,
-    scaled_mad,
-    se_calibration,
-    subsample_curve,
-    truncate_to_observed,
-)
+from .freqtab import *
+from .ratiofit import *
+from .estimators import *
+from .simlab import *
+from . import estimators, freqtab, ratiofit, simlab
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FrequencyCountTable",
-    "InsufficientDataError",
-    "parse_frequency_table",
-    "parse_abundance_vector",
-    "from_abundances",
-    "observed_richness",
-    "tail_cutoff",
-    "serialize_frequency_table",
-    "expand_to_abundances",
-    "RationalModel",
-    "RatioSeries",
-    "FitResult",
-    "RankDeficiencyError",
-    "DerivedQuantities",
-    "build_ratio_series",
-    "eval_model",
-    "fit_wnls",
-    "derived_quantities",
-    "ESTIMATORS",
-    "LADDER",
-    "RichnessEstimate",
-    "SelectionTrace",
-    "NoAdmissibleModelError",
-    "select_model",
-    "breakaway",
-    "breakaway_nof1",
-    "nof1_standard_error",
-    "chao1",
-    "SimulationConfig",
-    "SimulationReport",
-    "CalibrationResult",
-    "CurveRow",
-    "DegenerateSampleError",
-    "AllReplicatesFailedError",
-    "replicate_rng",
-    "sample_nb_counts",
-    "truncate_to_observed",
-    "apply_chimeric_inflation",
-    "run_replications",
-    "error_stats",
-    "scaled_mad",
-    "se_calibration",
-    "subsample_curve",
-    "runtime_report",
-]
+# each module's __all__ is the one statement of its public names
+__all__ = ["__version__", *freqtab.__all__, *ratiofit.__all__, *estimators.__all__, *simlab.__all__]

@@ -179,8 +179,7 @@ def cmd_estimate(args) -> tuple[dict, Callable[[], int]]:
 
 def _simulation_config(args, seed: int, estimators, C: int, size: int, prob: float):
     """One run's SimulationConfig from --rate, --reps and --trim; --workers is checked too."""
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
+    simlab._check_workers(args.workers)
     return simlab.SimulationConfig(
         C=C,
         size=size,

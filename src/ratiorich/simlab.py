@@ -77,9 +77,20 @@ def _check_population(C: int, size: int, prob: float) -> None:
         raise ValueError("prob must lie strictly inside (0, 1)")
 
 
-def _check_rate(rate_percent: float) -> None:
+def _inflated_count(f1: int, rate_percent: float) -> int:
+    """f1 (1 + rate/100), clamped at zero and rounded half up. The rate must
+    be finite, and like size the result below 2**53: counts become floats in
+    the fit."""
     if not math.isfinite(rate_percent):
         raise ValueError("chimeric_rate must be finite")
+    if (scaled := f1 * max(0.0, 1.0 + rate_percent / 100.0)) >= 2**53:
+        raise ValueError("chimeric_rate must keep the inflated singleton count below 2**53")
+    return _round_half_up(scaled)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _check_reps(reps: int) -> None:
@@ -126,7 +137,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         _check_population(self.C, self.size, self.prob)
-        _check_rate(self.chimeric_rate)
+        _inflated_count(self.C, self.chimeric_rate)  # C bounds every replicate's f_1
         _check_reps(self.reps)
         _check_seed(self.seed)
         _check_trim(self.trim)
@@ -188,9 +199,12 @@ def _cdf_walk(size: int, prob: float, out: np.ndarray | None = None) -> int | No
 def _nb_cdf_or_refusal(size: int, prob: float) -> np.ndarray | str:
     """_cdf_walk's table, or the message refusing it, cached as well.
 
-    The first walk only measures the table, so a refusal holds no table.
+    The first walk only measures the table, so a refusal holds no table. No
+    table ends before the mode, where the pmf stops rising, so a mode past the
+    cap is refused without a walk.
     """
-    if (length := _cdf_walk(size, prob)) is None:
+    mode_past_cap = (size - 1) * (1.0 - prob) / prob >= _PMF_TABLE_CAP + 2
+    if mode_past_cap or (length := _cdf_walk(size, prob)) is None:
         return f"size {size} and prob {prob!r} need a cdf table of over {_PMF_TABLE_CAP} entries"
     _cdf_walk(size, prob, table := np.zeros(length))
     return table
@@ -233,8 +247,9 @@ def truncate_to_observed(counts: Sequence[int] | np.ndarray) -> FrequencyCountTa
     return FrequencyCountTable(tuple((int(v), int(t)) for v, t in zip(values, tallies)))
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.copysign(math.floor(abs(x) + 0.5), x))
+def _round_half_up(x: float) -> int:
+    """x rounded half up; floor(x + 0.5) also rounds up odd x past 2**52."""
+    return (whole := math.floor(x)) + (x - whole >= 0.5)
 
 
 def apply_chimeric_inflation(
@@ -243,15 +258,15 @@ def apply_chimeric_inflation(
     """Scale the realized singleton count by (1 + rate/100).
 
     Positive rates mimic chimera-induced false singletons, negative rates
-    aggressive singleton filtering. The scaled value rounds half away from
-    zero and floors at zero (removing the entry); every other f_j is left
-    untouched. A table without singletons passes through unchanged. The rate
-    rule of SimulationConfig applies first: ValueError unless it is finite.
+    aggressive singleton filtering. The factor floors at zero (a rate at or
+    below -100 removes the entry) and the scaled value rounds half up; every
+    other f_j is left untouched. A table without singletons passes through
+    unchanged. As in SimulationConfig, ValueError unless the rate is finite
+    and the scaled f_1 below 2**53.
     """
-    _check_rate(rate_percent)
-    if not (f1 := table.get(1)):
+    new_f1 = _inflated_count(f1 := table.get(1), rate_percent)
+    if not f1:
         return table
-    new_f1 = max(0, _round_half_away(f1 * (1.0 + rate_percent / 100.0)))
     # the singletons are the first entry
     entries = (((1, new_f1),) if new_f1 else ()) + table.entries[1:]
     if not entries:
@@ -395,8 +410,7 @@ def run_replications(cfg: SimulationConfig, workers: int = 1) -> SimulationRepor
     reports (runtime statistics aside, which never enter the default
     serialization).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_workers(workers)
     blocks = min(workers, cfg.reps)
     bounds = [b * cfg.reps // blocks for b in range(blocks + 1)]
     if blocks == 1:
@@ -496,12 +510,13 @@ def subsample_curve(
         if fraction == 1.0:
             tables: list[FrequencyCountTable | None] = [full]
         else:
-            draw_size = _round_half_away(fraction * total)
+            draw_size = _round_half_up(fraction * total)
             tables = []
             for _ in range(reps):
-                draw = rng.multinomial(draw_size, probabilities)
-                kept = draw[draw > 0]
-                tables.append(from_abundances(kept.tolist()) if kept.size else None)
+                try:
+                    tables.append(truncate_to_observed(rng.multinomial(draw_size, probabilities)))
+                except DegenerateSampleError:
+                    tables.append(None)
         usable = [table for table in tables if table is not None]
         outcomes = _estimate_batch(estimators, usable)
         for name in estimators:

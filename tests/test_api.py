@@ -20,6 +20,31 @@ def test_star_import_resolves_every_listed_name(module):
     assert set(importlib.import_module(module).__all__) <= namespace.keys()
 
 
+# the 45 names the package exported before it re-exported its modules' __all__;
+# a module that drops one breaks callers of ratiorich.X
+TOP_LEVEL_NAMES = frozenset({
+    "__version__", "FrequencyCountTable", "InsufficientDataError", "parse_frequency_table",
+    "parse_abundance_vector", "from_abundances", "observed_richness", "tail_cutoff",
+    "serialize_frequency_table", "expand_to_abundances", "RationalModel", "RatioSeries",
+    "FitResult", "RankDeficiencyError", "DerivedQuantities", "build_ratio_series", "eval_model",
+    "fit_wnls", "derived_quantities", "ESTIMATORS", "LADDER", "RichnessEstimate",
+    "SelectionTrace", "NoAdmissibleModelError", "select_model", "breakaway", "breakaway_nof1",
+    "nof1_standard_error", "chao1", "SimulationConfig", "SimulationReport", "CalibrationResult",
+    "CurveRow", "DegenerateSampleError", "AllReplicatesFailedError", "replicate_rng",
+    "sample_nb_counts", "truncate_to_observed", "apply_chimeric_inflation", "run_replications",
+    "error_stats", "scaled_mad", "se_calibration", "subsample_curve", "runtime_report"
+})
+
+
+def test_package_exports_each_module_all_once():
+    import ratiorich
+    from ratiorich import estimators, freqtab, ratiofit, simlab
+
+    modules = [*freqtab.__all__, *ratiofit.__all__, *estimators.__all__, *simlab.__all__]
+    assert ratiorich.__all__ == ["__version__", *modules]
+    assert len(set(ratiorich.__all__)) == len(ratiorich.__all__)
+    assert TOP_LEVEL_NAMES <= set(ratiorich.__all__)
+
 FOOTPRINT_SCRIPT = """
 import contextlib, io, sys
 import ratiorich, ratiorich.cli

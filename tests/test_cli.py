@@ -333,6 +333,23 @@ class TestRejectedBeforeRunning:
             "error: chimeric_rate must be finite"
         ]
 
+    def test_simulate_rate_past_the_count_bound_exit_1_before_echo(self, capsys, tmp_path):
+        # 300 (1 + 1e298) singletons would reach chao1 as a 301-digit count
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(capsys, self.SIMULATE + ["--rate", "1e300", "--out", str(out)])
+        assert code == 1
+        assert err == "error: chimeric_rate must keep the inflated singleton count below 2**53\n"
+        assert not out.exists()
+
+    def test_calibrate_rate_past_the_count_bound_exit_1_before_echo(self, capsys):
+        code, out, err = run_cli(capsys, self.CALIBRATE + ["--rate", "1e300"])
+        assert code == 1
+        assert out == ""
+        assert "resolved config" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: chimeric_rate must keep the inflated singleton count below 2**53"
+        ]
+
     def test_simulate_zero_workers_exit_1_before_echo(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, self.SIMULATE + ["--workers", "0", "--out", str(tmp_path / "r.csv")]

@@ -217,6 +217,19 @@ class TestSampleNbCounts:
             f"size {size} and prob {prob!r} need a cdf table of over 10000000 entries"
         )
 
+    def test_a_mode_past_the_cap_is_refused_without_a_walk(self, monkeypatch):
+        # P(x) of each stays below 2**-1022 up to the cap, so a walk there
+        # sums math.log over all 10,000,001 entries
+        def walk(*args):
+            raise AssertionError(f"walked {args}")
+
+        monkeypatch.setattr(simlab, "_cdf_walk", walk)
+        simlab._nb_cdf_or_refusal.cache_clear()
+        for size, prob in ((1_000_000, 1e-3), (2, 1e-200)):
+            assert simlab._nb_cdf_or_refusal(size, prob) == (
+                f"size {size} and prob {prob!r} need a cdf table of over 10000000 entries"
+            )
+
     def test_a_second_refusal_is_a_cache_hit(self, monkeypatch):
         monkeypatch.setattr(simlab, "_PMF_TABLE_CAP", 1000)
         simlab._nb_cdf_or_refusal.cache_clear()
@@ -314,6 +327,11 @@ class TestInflation:
         t = table({1: 17, 2: 5, 3: 2})
         assert apply_chimeric_inflation(t, 0.0) == t
 
+    def test_rate_zero_keeps_an_odd_count_past_2_to_the_52(self):
+        # floor(x + 0.5) takes the odd 2**52 + 1 to 2**52 + 2
+        t = table({1: 2**52 + 1, 2: 5})
+        assert apply_chimeric_inflation(t, 0.0) == t
+
     def test_full_removal_drops_entry(self):
         t = apply_chimeric_inflation(table({1: 3, 2: 5}), -100.0)
         assert t.counts == {2: 5}
@@ -321,6 +339,21 @@ class TestInflation:
     def test_missing_singletons_pass_through(self):
         t = table({2: 5, 3: 1})
         assert apply_chimeric_inflation(t, 250.0) == t
+
+    @pytest.mark.parametrize("rate", [-100.5, -1e300, -1e308])
+    def test_any_rate_below_minus_100_removes_the_singletons(self, rate):
+        # 1000 (1 - 1e306) would overflow to -inf without the clamp at zero
+        assert apply_chimeric_inflation(table({1: 1000, 2: 5}), rate).counts == {2: 5}
+
+    @pytest.mark.parametrize("rate", [1e300, 1e308])
+    def test_a_singleton_count_past_2_to_the_53_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"inflated singleton count below 2\*\*53"):
+            apply_chimeric_inflation(table({1: 100, 2: 50}), rate)
+
+    def test_the_config_bounds_the_inflated_count_by_c(self):
+        SimulationConfig(C=2**52, size=500, prob=0.99, chimeric_rate=99.99)
+        with pytest.raises(ValueError, match=r"inflated singleton count below 2\*\*53"):
+            SimulationConfig(C=2**52, size=500, prob=0.99, chimeric_rate=100.0)
 
     @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("counts", [{1: 100, 2: 50}, {2: 5, 3: 1}])
