@@ -29,6 +29,7 @@ from . import __version__, simlab
 from ._output import to_csv, to_json
 from .estimators import ESTIMATORS, _check_names, _estimate_batch
 from .freqtab import (
+    _count,
     from_abundances,
     parse_abundance_vector,
     parse_frequency_table,
@@ -179,7 +180,7 @@ def cmd_estimate(args) -> tuple[dict, Callable[[], int]]:
 
 def _simulation_config(args, seed: int, estimators, C: int, size: int, prob: float):
     """One run's SimulationConfig from --rate, --reps and --trim; --workers is checked too."""
-    simlab._check_workers(args.workers)
+    _count(args.workers, "workers")
     return simlab.SimulationConfig(
         C=C,
         size=size,

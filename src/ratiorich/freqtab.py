@@ -10,6 +10,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -34,6 +35,20 @@ class InsufficientDataError(ValueError):
     """The usable run of nonzero frequencies is too short to fit on."""
 
 
+def _count(value, name: str, low: int = 1, must: str | None = None) -> int:
+    """value as an int, if it is a count: an int or an integral float (5.0 is 5), never
+    a bool, and at least low. Anything else raises ValueError, "{name} must be an integer,
+    got {value!r}" or, below low, "{name} must be >= {low}"; must replaces both rules."""
+    if type(value) is not int:
+        whole = isinstance(value, float) and value.is_integer() or isinstance(value, Integral)
+        if not whole or isinstance(value, bool):
+            raise ValueError(f"{name} must be {must or 'an integer'}, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be {must or f'>= {low}'}")
+    return value
+
+
 @dataclass(frozen=True)
 class FrequencyCountTable:
     """Sparse map from count value j to the number of taxa seen exactly j times.
@@ -49,20 +64,19 @@ class FrequencyCountTable:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("empty frequency table")
+        lookup: dict[int, int] = {}
         prev = 0
         for j, f in self.entries:
-            if j < 1:
-                raise ValueError(f"count value must be >= 1, got {j}")
-            if j <= prev:
+            if (j := _count(j, "count value")) <= prev:
                 raise ValueError(f"count values must be distinct and increasing (j={j})")
-            if f < 1:
-                raise ValueError(f"frequency f_{j} must be >= 1, got {f}")
+            lookup[j] = _count(f, f"frequency f_{j}")
             prev = j
-        object.__setattr__(self, "_lookup", dict(self.entries))
+        object.__setattr__(self, "entries", tuple(lookup.items()))
+        object.__setattr__(self, "_lookup", lookup)
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "FrequencyCountTable":
-        return cls(tuple(sorted((int(j), int(f)) for j, f in counts.items())))
+        return cls(tuple(sorted(counts.items(), key=lambda jf: _count(jf[0], "count value"))))
 
     def get(self, j: int) -> int:
         """f_j, or 0 when no taxa were observed exactly j times."""
@@ -159,12 +173,7 @@ def from_abundances(abundances: Sequence[int]) -> FrequencyCountTable:
     """Reduce per-taxon counts to a table: f_j = #{taxa observed exactly j times}."""
     if len(abundances) == 0:
         raise ValueError("empty abundance vector")
-    normalized: list[int] = []
-    for x in abundances:
-        ix = int(x)
-        if ix != x or ix < 1:
-            raise ValueError(f"abundances must be positive integers, got {x!r}")
-        normalized.append(ix)
+    normalized = [_count(x, "abundances", must="positive integers") for x in abundances]
     return FrequencyCountTable.from_counts(Counter(normalized))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._output import to_csv, to_json
 from .estimators import ESTIMATORS, _check_names, _estimate_batch
-from .freqtab import FrequencyCountTable, from_abundances
+from .freqtab import FrequencyCountTable, _count, from_abundances
 
 __all__ = [
     "MAD_SCALE",
@@ -66,15 +66,13 @@ class AllReplicatesFailedError(RuntimeError):
     """No replicate produced an estimate to aggregate."""
 
 
-def _check_population(C: int, size: int, prob: float) -> None:
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    if size < 1:
-        raise ValueError("size must be >= 1")
+def _check_population(C: int, size: int, prob: float) -> tuple[int, int]:
+    C, size = _count(C, "C"), _count(size, "size")
     if size > 2**53:
         raise ValueError("size must be <= 2**53")
     if not (0.0 < prob < 1.0):
         raise ValueError("prob must lie strictly inside (0, 1)")
+    return C, size
 
 
 def _inflated_count(f1: int, rate_percent: float) -> int:
@@ -88,16 +86,6 @@ def _inflated_count(f1: int, rate_percent: float) -> int:
     return _round_half_up(scaled)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
-
-def _check_reps(reps: int) -> None:
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-
-
 def _check_trim(trim: float) -> None:
     if not (0.0 <= trim < 0.5):
         raise ValueError("trim must lie in [0, 0.5)")
@@ -109,8 +97,8 @@ def _check_one_estimator(names: Sequence) -> None:
 
 
 def _check_seed(seed: int) -> int:
-    """seed, if it is one replicate_rng takes: a 64-bit unsigned integer."""
-    if not 0 <= seed < 2**64:
+    """seed as an int, if it is one replicate_rng takes: a 64-bit unsigned integer."""
+    if (seed := _count(seed, "seed", 0, must="a 64-bit unsigned integer")) >= 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
     return seed
 
@@ -122,8 +110,9 @@ class SimulationConfig:
     C is the true richness; counts are negative binomial with the given size
     and probability parameters. chimeric_rate is the percentage by which the
     realized singleton count is inflated (100 doubles it, -80 keeps a fifth).
-    The estimators default to every registered one. A (size, prob) whose cdf
-    table would pass _PMF_TABLE_CAP entries is rejected with ValueError.
+    The estimators default to every registered one. C, size, reps and seed are
+    stored as ints. A (size, prob) whose cdf table would pass _PMF_TABLE_CAP
+    entries is rejected with ValueError.
     """
 
     C: int
@@ -136,12 +125,12 @@ class SimulationConfig:
     trim: float = 0.2
 
     def __post_init__(self) -> None:
-        _check_population(self.C, self.size, self.prob)
-        _inflated_count(self.C, self.chimeric_rate)  # C bounds every replicate's f_1
-        _check_reps(self.reps)
-        _check_seed(self.seed)
+        C, size = _check_population(self.C, self.size, self.prob)
+        _inflated_count(C, self.chimeric_rate)  # C bounds every replicate's f_1
+        counts = dict(C=C, size=size, reps=_count(self.reps, "reps"), seed=_check_seed(self.seed))
         _check_trim(self.trim)
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name, value in {**counts, "estimators": tuple(self.estimators)}.items():
+            object.__setattr__(self, name, value)
         _check_names(self.estimators)
         _nb_cdf(self.size, self.prob)
 
@@ -224,20 +213,22 @@ def sample_nb_counts(C: int, size: int, prob: float, rng: np.random.Generator) -
     kept for later calls. Zeros are kept: they become the unobserved taxa
     once the sample is truncated. SimulationConfig's population rule raises ValueError.
     """
-    _check_population(C, size, prob)
+    C, size = _check_population(C, size, prob)
     return np.searchsorted(_nb_cdf(size, prob), rng.random(C), side="left").astype(np.int64)
 
 
 def truncate_to_observed(counts: Sequence[int] | np.ndarray) -> FrequencyCountTable:
     """Drop zero counts and build the observable frequency table.
 
-    A negative or non-integral count raises ValueError naming it; an integral
-    float such as 2.0 counts as its integer.
+    A negative, non-integral or bool count raises ValueError naming it; an
+    integral float such as 2.0 counts as its integer.
     """
     arr = np.asarray(counts)
     bad = arr < 0
     if arr.dtype.kind == "f":
         bad |= ~np.isfinite(arr) | (arr != np.floor(arr))
+    elif arr.dtype.kind == "b":
+        bad |= True
     if bad.any():
         raise ValueError(f"counts must be non-negative integers, got {arr[bad][0].item()!r}")
     observed = arr[arr > 0]
@@ -410,8 +401,7 @@ def run_replications(cfg: SimulationConfig, workers: int = 1) -> SimulationRepor
     reports (runtime statistics aside, which never enter the default
     serialization).
     """
-    _check_workers(workers)
-    blocks = min(workers, cfg.reps)
+    blocks = min(_count(workers, "workers"), cfg.reps)
     bounds = [b * cfg.reps // blocks for b in range(blocks + 1)]
     if blocks == 1:
         parts = [_replicate_block(cfg, 0, cfg.reps)]
@@ -467,13 +457,13 @@ class CurveRow:
     failures: int
 
 
-def _check_curve_arguments(fractions: Sequence[float], reps: int) -> None:
-    """Raise ValueError for no fractions, a fraction outside (0, 1] or reps below 1."""
+def _check_curve_arguments(fractions: Sequence[float], reps: int) -> int:
+    """reps as an int; ValueError for no fractions, a fraction outside (0, 1] or bad reps."""
     if not fractions:
         raise ValueError("no fractions given")
     if any(not (0.0 < x <= 1.0) for x in fractions):
         raise ValueError("fractions must lie in (0, 1]")
-    _check_reps(reps)
+    return _count(reps, "reps")
 
 
 def subsample_curve(
@@ -496,7 +486,7 @@ def subsample_curve(
     full = from_abundances(abundances)
     counts = np.asarray(abundances, dtype=np.int64)
     fracs = [float(x) for x in fractions]
-    _check_curve_arguments(fracs, reps)
+    reps = _check_curve_arguments(fracs, reps)
     if any(b < a for a, b in zip(fracs, fracs[1:])):
         raise ValueError("fractions must be sorted ascending")
     if estimators is None:

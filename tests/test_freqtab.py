@@ -120,6 +120,13 @@ class TestFromAbundances:
         with pytest.raises(ValueError):
             from_abundances([])
 
+    def test_rejects_bool_and_fraction_accepts_integral_float(self):
+        for bad in (True, 2.5):
+            message = f"^abundances must be positive integers, got {bad}$"
+            with pytest.raises(ValueError, match=message):
+                from_abundances([1, bad, 2])
+        assert from_abundances([1, 5.0, np.int64(5)]).counts == {1: 1, 5: 2}
+
 
 class TestObservedRichness:
     def test_sums(self):
@@ -177,6 +184,31 @@ class TestTableValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FrequencyCountTable(())
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((1.5, 2), (2, 3)), "count value must be an integer, got 1.5"),
+            (((1, 2.5), (2, 3)), "frequency f_1 must be an integer, got 2.5"),
+            (((True, 3), (2, 1)), "count value must be an integer, got True"),
+        ],
+        ids=["fractional j", "fractional f", "bool j"],
+    )
+    def test_rejects_non_integer_entry(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FrequencyCountTable(entries)
+
+    def test_from_counts_rejects_what_is_not_a_count(self):
+        with pytest.raises(ValueError, match="^frequency f_1 must be an integer, got 2.5$"):
+            FrequencyCountTable.from_counts({1: 2.5, 2: 3})
+        for key in ("a", None):
+            with pytest.raises(ValueError, match=f"^count value must be an integer, got {key!r}$"):
+                FrequencyCountTable.from_counts({key: 1, 2: 3})
+
+    def test_integral_values_stored_as_ints(self):
+        t = FrequencyCountTable.from_counts({np.int64(1): 50.0, 2.0: np.int64(3)})
+        assert t == table({1: 50, 2: 3})
+        assert {type(x) for entry in t.entries for x in entry} == {int}
 
     def test_get_missing_is_zero(self):
         assert table({2: 5}).get(1) == 0

@@ -309,6 +309,10 @@ class TestTruncate:
     def test_integral_floats_accepted(self):
         assert truncate_to_observed([0.0, 2.0, 2.0, 1.0]).counts == {1: 1, 2: 2}
 
+    def test_bool_counts_rejected(self):
+        with pytest.raises(ValueError, match="^counts must be non-negative integers, got True$"):
+            truncate_to_observed([True, False, True])
+
 
 class TestInflation:
     def test_doubling(self):
@@ -495,6 +499,33 @@ class TestRunReplications:
         for rate in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 SimulationConfig(C=5, size=5, prob=0.5, chimeric_rate=rate)
+        # counts are ints or integral floats, never bools, checked before any work
+        for field, value, message in [
+            ("C", 2.5, "C must be an integer, got 2.5"),
+            ("C", True, "C must be an integer, got True"),
+            ("size", 2.5, "size must be an integer, got 2.5"),
+            ("reps", 2.5, "reps must be an integer, got 2.5"),
+            ("seed", 1.5, "seed must be a 64-bit unsigned integer, got 1.5"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SimulationConfig(**{"C": 5, "size": 5, "prob": 0.5, field: value})
+        with pytest.raises(ValueError, match="^size must be an integer, got 1000.5$"):
+            SimulationConfig(C=10, size=1000.5, prob=0.4)
+        with pytest.raises(ValueError, match="^workers must be an integer, got 2.5$"):
+            run_replications(SimulationConfig(C=5, size=5, prob=0.5), workers=2.5)
+
+    def test_config_stores_counts_as_ints(self):
+        ints = SimulationConfig(C=50, size=5, prob=0.5, reps=3, seed=4)
+        numpy_ints = SimulationConfig(
+            C=np.int64(50), size=np.int64(5), prob=0.5, reps=np.int64(3), seed=np.uint64(4)
+        )
+        floats = SimulationConfig(C=50.0, size=5.0, prob=0.5, reps=3.0, seed=4.0)
+        for cfg in (numpy_ints, floats):
+            assert cfg == ints
+            assert [type(getattr(cfg, f)) for f in ("C", "size", "reps", "seed")] == [int] * 4
+        assert report_to_json(run_replications(numpy_ints)) == report_to_json(
+            run_replications(ints)
+        )
 
     def test_config_rejects_a_cdf_table_past_the_cap(self, monkeypatch):
         # geometric counts at prob 0.0123 need about 2,700 entries before the
@@ -643,6 +674,17 @@ class TestSubsampleCurve:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="at least one estimator is required"):
             subsample_curve(self.VECTOR, [1.0], reps=2, rng=rng, estimators=())
+
+    def test_non_integer_reps_rejected(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="^reps must be an integer, got 2.5$"):
+            subsample_curve(self.VECTOR, [0.5, 1.0], reps=2.5, rng=rng)
+
+    def test_integral_float_reps_accepted(self):
+        def curve(reps):
+            return subsample_curve(self.VECTOR, [0.5], reps, np.random.default_rng(6), ("chao1",))
+
+        assert curve(50.0) == curve(50)
 
     def test_non_integer_abundance_rejected(self):
         rng = np.random.default_rng(5)
